@@ -1,8 +1,8 @@
 """The compiled evaluation engine (hot path of the production roadmap).
 
 Precompiled transition tables (:mod:`repro.engine.tables`), the bitmask
-kernel — alphabet-class compression, mask state sets and the lazy-DFA
-memo (:mod:`repro.engine.kernel`) — memoised and prefix-sharing ``Eval``
+kernel — alphabet-class compression, mask state sets and flat lazy DFAs
+(:mod:`repro.engine.kernel`) — memoised and prefix-sharing ``Eval``
 oracles (:mod:`repro.engine.oracle`), and the reusable
 :class:`CompiledSpanner` with its batch API (:mod:`repro.engine.compiled`).
 """
@@ -15,18 +15,12 @@ from repro.engine.kernel import (
     FlatOverflow,
     FlatTables,
     Kernel,
-    flat_disabled,
-    flat_enabled,
-    kernel_disabled,
-    kernel_enabled,
 )
 from repro.engine.oracle import (
     eval_compiled,
     eval_general_compiled,
     eval_sequential_compiled,
     eval_sequential_flat,
-    eval_sequential_kernel,
-    eval_sequential_sets,
 )
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 from repro.engine.vector import vector_disabled, vector_enabled
@@ -45,12 +39,6 @@ __all__ = [
     "eval_general_compiled",
     "eval_sequential_compiled",
     "eval_sequential_flat",
-    "eval_sequential_kernel",
-    "eval_sequential_sets",
-    "flat_disabled",
-    "flat_enabled",
-    "kernel_disabled",
-    "kernel_enabled",
     "vector_disabled",
     "vector_enabled",
 ]

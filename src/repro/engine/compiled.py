@@ -18,9 +18,9 @@ Enumeration follows Algorithm 2 exactly, with two engine upgrades:
 * candidate spans come from the document index's reachability pruning
   instead of the full ``O(|d|²)`` span list, preserving the seed's output
   order on the surviving candidates;
-* the oracle is a per-node :class:`~repro.engine.oracle.NodeSweep` that
-  shares sweep prefixes across sibling branches (sequential automata), or
-  a compiled full sweep otherwise.
+* the oracle is a per-node :class:`~repro.engine.oracle.FlatNodeSweep`
+  that shares sweep prefixes across sibling branches (sequential
+  automata), or a compiled full sweep otherwise.
 """
 
 from __future__ import annotations
@@ -143,9 +143,10 @@ class CompiledSpanner:
         return self._fingerprint
 
     def kernel_stats(self) -> dict[str, int]:
-        """Memo sizes of the shared bitmask kernel (lazy-DFA entries,
-        alphabet classes, sweep contexts) — a live view of the state every
-        document this engine evaluates shares.  Forces the kernel build.
+        """Table sizes of the shared bitmask kernel (alphabet classes,
+        sweep contexts, interned documents, flat-DFA states) — a live view
+        of the state every document this engine evaluates shares.  Forces
+        the kernel build.
 
         >>> engine = compile_spanner(".*x{a+}.*")
         >>> _ = engine.mappings("baa")

@@ -1,11 +1,9 @@
-"""Bitmask kernel: alphabet compression + lazy-DFA state sets.
+"""Bitmask kernel and flat tables: the one sequential evaluation engine.
 
-The set-based sweeps in :mod:`repro.engine.tables` and
-:mod:`repro.engine.oracle` simulate the NFA as Python sets of tuples —
-per-character dict lookups, ``frozenset`` churn, and a worklist loop at
-every document position.  This module applies two classic regex-engine
-techniques (the machinery behind RE2-style lazy DFAs) to variable-set
-automata:
+The Theorem 5.7 sweep and the op-free reachability index simulate the
+automaton over *state sets*.  This module makes those sets cheap with
+three classic regex-engine techniques (the machinery behind RE2-style
+lazy DFAs), applied to variable-set automata:
 
 * **Alphabet compression** (:class:`AlphabetClasses`) — characters are
   partitioned once per :class:`~repro.engine.tables.CompiledVA` into
@@ -21,46 +19,32 @@ automata:
   step is a per-class per-state target-mask table (plus its transpose,
   used by the backward co-reachability sweep).
 
-* **A lazy DFA** — ``delta[(mask, class_id)] → mask`` memoises the
-  composite "letter step then closure" transition on demand.  Repeated
-  positions (the common case in CSV/log text) cost one dict hit.  The
-  memo lives on the kernel, which lives on the ``CompiledVA``, so it is
-  shared by every document a :class:`~repro.engine.compiled.CompiledSpanner`
-  evaluates — and, through the worker-resident engine of
-  :mod:`repro.service.evaluate`, by the whole corpus batch a worker
-  processes.  Each memo is bounded by :data:`DELTA_LIMIT` entries;
-  once full, transitions are still computed, just no longer recorded.
+* **Flat lazy DFAs** (:class:`FlatTables` / :class:`FlatDFA`) — each
+  distinct state mask a sweep reaches is interned to a small integer id,
+  and the "letter step then closure" transition is memoised in one
+  contiguous class-indexed ``array('i')`` row per id (``-1`` =
+  unexplored).  Documents are interned to ``bytes`` of class ids in one
+  C-level ``str.translate`` pass (with an optional numpy fast path for
+  long documents), so the inner sweep loop is two indexed loads per
+  character.  The tables live on the kernel, which lives on the
+  ``CompiledVA``, so every document a
+  :class:`~repro.engine.compiled.CompiledSpanner` evaluates — and,
+  through the worker-resident engine of :mod:`repro.service.evaluate`,
+  the whole corpus batch a worker processes — warms the same DFA.
 
 Pinned sweeps (the ``Eval`` oracle and enumeration nodes) run over a
 :class:`SweepContext`: the same machinery with the closure graph
 restricted by the pin context — operations of span-pinned variables only
-fire where required, closes of ⊥-pinned variables never fire — and a
-per-context delta memo.  Contexts are cached per kernel, so sibling
-recursion nodes and repeated oracle calls share closures and memos.
+fire where required, closes of ⊥-pinned variables never fire — and its
+own flat DFA.  Contexts are cached per kernel, so sibling recursion
+nodes and repeated oracle calls share closures and interned states.
 
-* **Flat tables** (:class:`FlatTables` / :class:`FlatDFA`) — the third
-  layer, on top of the mask kernel.  The lazy-DFA memo becomes an
-  *interned* DFA: each distinct state mask gets a small integer id, and
-  the memo is a contiguous class-indexed row per id (``array('i')``,
-  ``-1`` = unexplored) instead of a ``(mask, class) → mask`` dict.
-  Documents are interned to ``bytes`` of class ids in one C-level
-  ``str.translate`` pass (with an optional numpy fast path for long
-  documents), so the inner sweep loop is two indexed loads per
-  character — no tuple allocation, no big-int hashing.  Mask blow-up is
-  bounded by :data:`FLAT_STATE_LIMIT` interned states per DFA; beyond
-  it :class:`FlatOverflow` drops the caller back to the dict kernel,
-  which remains byte-for-byte identical in observable behaviour (the
-  differential suite in ``tests/engine/test_flat_differential.py`` pins
-  this down).  :func:`flat_disabled` forces the dict kernel for
-  benchmarking (``bench_e25``) and cross-validation, mirroring
-  :func:`kernel_disabled` one layer up.
-
-The kernel accelerates the *sequential* sweep (Theorem 5.7) and the
-op-free reachability index; the general FPT sweep (Theorem 5.10) keeps
-the set-based representation — its states carry performed-sets and
-status vectors that do not pack into per-state bits.  The set-based
-sequential path also remains, both as the cross-validation baseline and
-behind :func:`kernel_disabled` for old-vs-new benchmarking.
+Mask blow-up is bounded by :data:`FLAT_STATE_LIMIT` interned states per
+DFA; past it :class:`FlatOverflow` sends the caller to an unmemoised
+path: the reachability index steps raw masks
+(:meth:`FlatDFA.successor`), and pinned sweeps run the general sweep of
+Theorem 5.10 (:func:`repro.engine.oracle.eval_general_compiled`), whose
+cost is exponential only in the number of variables.
 """
 
 from __future__ import annotations
@@ -69,7 +53,6 @@ import os
 import warnings
 from array import array
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.alphabet import CharSet
@@ -81,11 +64,6 @@ except ImportError:  # pragma: no cover
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tables imports us)
     from repro.engine.tables import CompiledVA
-
-#: Per-memo bound on lazy-DFA entries.  Each entry is two small ints and a
-#: mask; the bound caps a kernel's memory at a few MB even on adversarial
-#: document streams (see docs/api.md).
-DELTA_LIMIT = 1 << 18
 
 #: Interned class-id sequences kept per kernel (LRU, keyed by
 #: ``(len(text), hash(text))`` with the text verified on hit).
@@ -127,8 +105,7 @@ def _env_limit(name: str, default: int, minimum: int = 1) -> int:
 #: ``array('i')`` row of ``num_classes`` entries plus the mask itself;
 #: the bound keeps a pathological (exponential-subset) automaton from
 #: materialising its whole powerset — beyond it :class:`FlatOverflow`
-#: sends the caller to the dict kernel, which stays lazy per (mask,
-#: class) pair and is bounded by :data:`DELTA_LIMIT` on its own.
+#: sends the caller to an unmemoised path (see the module docstring).
 #: Overridable via ``REPRO_FLAT_STATE_LIMIT`` for soak-run tuning.
 FLAT_STATE_LIMIT = _env_limit("REPRO_FLAT_STATE_LIMIT", 1 << 12)
 
@@ -152,73 +129,9 @@ def numpy_or_none():
         return None
     return _np
 
-_ENABLED = True
-_FLAT_ENABLED = True
-
 
 class FlatOverflow(RuntimeError):
-    """A flat DFA hit :data:`FLAT_STATE_LIMIT` — fall back to the dict kernel."""
-
-
-def kernel_enabled() -> bool:
-    """Whether the bitmask kernel is active (see :func:`kernel_disabled`).
-
-    ``REPRO_NO_KERNEL=1`` forces the set-based paths process-wide;
-    unset or ``0`` leaves the kernel on (the same 0/1 convention as the
-    benchmark harness's ``REPRO_BENCH_JSON``).
-    """
-    return _ENABLED and os.environ.get("REPRO_NO_KERNEL", "") in ("", "0")
-
-
-@contextmanager
-def kernel_disabled():
-    """Force the set-based engine paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with kernel_disabled():
-    ...     old = engine.mappings("baa")
-    >>> engine.mappings("baa") == old
-    True
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def flat_enabled() -> bool:
-    """Whether the flat-table layer is active (see :func:`flat_disabled`).
-
-    ``REPRO_NO_FLAT=1`` forces the dict kernel process-wide; unset or
-    ``0`` leaves the flat tables on.  Orthogonal to
-    :func:`kernel_enabled` — with the kernel off entirely, the flat
-    layer never comes into play.
-    """
-    return _FLAT_ENABLED and os.environ.get("REPRO_NO_FLAT", "") in ("", "0")
-
-
-@contextmanager
-def flat_disabled():
-    """Force the dict-kernel paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with flat_disabled():
-    ...     old = engine.mappings("baa")
-    >>> engine.mappings("baa") == old
-    True
-    """
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = False
-    try:
-        yield
-    finally:
-        _FLAT_ENABLED = previous
+    """A flat DFA hit :data:`FLAT_STATE_LIMIT` (the caller stops interning)."""
 
 
 def iter_bits(mask: int):
@@ -331,7 +244,7 @@ def _closure_masks(count: int, adjacency) -> tuple[int, ...]:
 
 
 class Kernel:
-    """Bitmask tables and lazy-DFA memos for one compiled automaton."""
+    """Bitmask tables, sweep contexts and flat DFAs of one compiled automaton."""
 
     __slots__ = (
         "cva",
@@ -341,8 +254,6 @@ class Kernel:
         "free_rev",
         "step",
         "step_rev",
-        "delta",
-        "delta_rev",
         "_interned",
         "_contexts",
         "_flat",
@@ -372,8 +283,6 @@ class Kernel:
             step_rev.append(backward)
         self.step = tuple(step)
         self.step_rev = tuple(tuple(masks) for masks in step_rev)
-        self.delta: dict[tuple[int, int], int] = {}
-        self.delta_rev: dict[tuple[int, int], int] = {}
         self._interned: OrderedDict[tuple[int, int], tuple[str, tuple[int, ...]]]
         self._interned = OrderedDict()
         self._contexts: OrderedDict[tuple[frozenset, frozenset], SweepContext]
@@ -395,7 +304,7 @@ class Kernel:
         The mask tables may be any integer-indexable sequences — in
         particular the zero-copy ``memoryview`` rows that
         :mod:`repro.engine.artifact` casts straight out of an mmap'd
-        artifact file.  Memos start empty; they are per-process state.
+        artifact file.  Caches start empty; they are per-process state.
         """
         self = cls.__new__(cls)
         self.cva = cva
@@ -405,8 +314,6 @@ class Kernel:
         self.free_rev = free_rev
         self.step = step
         self.step_rev = step_rev
-        self.delta = {}
-        self.delta_rev = {}
         self._interned = OrderedDict()
         self._contexts = OrderedDict()
         self._flat = None
@@ -432,57 +339,6 @@ class Kernel:
         self._interned[key] = (text, classes)
         return classes
 
-    # -- free (operation-ignoring) sweeps ---------------------------------------
-
-    def close(self, mask: int) -> int:
-        """Free closure of a state mask (OR-fold of per-state masks)."""
-        out = 0
-        free = self.free
-        while mask:  # iter_bits, inlined: this fold is the hot primitive
-            low = mask & -mask
-            out |= free[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def close_rev(self, mask: int) -> int:
-        out = 0
-        free_rev = self.free_rev
-        while mask:
-            low = mask & -mask
-            out |= free_rev[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def delta_step(self, mask: int, class_id: int) -> int:
-        """Lazy-DFA transition: letter step then free closure, memoised."""
-        key = (mask, class_id)
-        cached = self.delta.get(key)
-        if cached is not None:
-            return cached
-        table = self.step[class_id]
-        seeds = 0
-        for state in iter_bits(mask):
-            seeds |= table[state]
-        result = self.close(seeds) if seeds else 0
-        if len(self.delta) < DELTA_LIMIT:
-            self.delta[key] = result
-        return result
-
-    def delta_rev_step(self, mask: int, class_id: int) -> int:
-        """Backward transition: reverse letter step then reverse closure."""
-        key = (mask, class_id)
-        cached = self.delta_rev.get(key)
-        if cached is not None:
-            return cached
-        table = self.step_rev[class_id]
-        seeds = 0
-        for state in iter_bits(mask):
-            seeds |= table[state]
-        result = self.close_rev(seeds) if seeds else 0
-        if len(self.delta_rev) < DELTA_LIMIT:
-            self.delta_rev[key] = result
-        return result
-
     # -- pinned sweeps -----------------------------------------------------------
 
     def context(self, pinned: frozenset, nulls: frozenset) -> "SweepContext":
@@ -500,35 +356,29 @@ class Kernel:
 
     # -- flat tables -------------------------------------------------------------
 
-    def flat_or_none(self) -> "FlatTables | None":
-        """The flat-table layer, or ``None`` inside :func:`flat_disabled`."""
-        if not flat_enabled():
-            return None
+    @property
+    def flat(self) -> "FlatTables":
+        """The flat-table layer (built on first use, then shared)."""
         if self._flat is None:
             self._flat = FlatTables(self)
         return self._flat
 
     def stats(self) -> dict[str, int]:
-        """Memo sizes, for dashboards and the memory-bound docs."""
+        """Table sizes, for dashboards and the memory-bound docs."""
         flat = self._flat
         flat_states = 0
+        interned = len(self._interned)
         if flat is not None:
             seen = {id(flat.dfa): flat.dfa, id(flat.dfa_rev): flat.dfa_rev}
             for ctx in self._contexts.values():
                 if ctx.flat_dfa is not None:
                     seen[id(ctx.flat_dfa)] = ctx.flat_dfa
             flat_states = sum(len(dfa.masks) for dfa in seen.values())
+            interned += len(flat._interned)
         return {
             "classes": self.classes.count,
-            "delta": len(self.delta),
-            "delta_rev": len(self.delta_rev),
             "contexts": len(self._contexts),
-            "context_delta": sum(
-                len(ctx.delta)
-                for ctx in self._contexts.values()
-                if ctx.delta is not self.delta  # the no-pin context aliases it
-            ),
-            "interned": len(self._interned),
+            "interned": interned,
             "flat_states": flat_states,
         }
 
@@ -542,8 +392,7 @@ class SweepContext:
     latter re-enter only as *counted* edges at the positions where
     :class:`~repro.engine.oracle.Requirements` demands them (see
     :meth:`closure_counted`).  With no pins the context degenerates to
-    the kernel's own free closure and shares its semantics (but keeps a
-    separate memo).
+    the kernel's own free closure and shares its flat DFAs.
     """
 
     __slots__ = (
@@ -552,7 +401,6 @@ class SweepContext:
         "nulls",
         "closure",
         "closure_rev",
-        "delta",
         "flat_dfa",
         "flat_dfa_rev",
         "_op_edges",
@@ -575,14 +423,12 @@ class SweepContext:
         self.closure_rev: tuple[int, ...] | None = None
         if not pinned and not nulls:
             # No pins: the base closure IS the free closure, so share the
-            # kernel's masks *and* its delta memo — the reachability index
-            # and the unpinned eval sweep warm the same lazy DFA.
+            # kernel's masks — the reachability index and the unpinned
+            # eval sweep then warm the same flat DFA.
             self.closure = kernel.free
             self.closure_rev = kernel.free_rev
-            self.delta: dict[tuple[int, int], int] = kernel.delta
             return
         self.closure = _closure_masks(count, self._adjacency())
-        self.delta = {}
 
     def _adjacency(self) -> list[list[int]]:
         """The restricted free-move adjacency of this pin partition."""
@@ -636,18 +482,6 @@ class SweepContext:
             mask ^= low
         return seeds
 
-    def delta_step(self, mask: int, class_id: int) -> int:
-        """Letter step then base closure, memoised per context."""
-        key = (mask, class_id)
-        cached = self.delta.get(key)
-        if cached is not None:
-            return cached
-        seeds = self.letter(mask, class_id)
-        result = self.close(seeds) if seeds else 0
-        if len(self.delta) < DELTA_LIMIT:
-            self.delta[key] = result
-        return result
-
     # -- counted closures (positions with required operations) -------------------
 
     def op_edges(self, key: tuple[str, str]) -> tuple[tuple[int, int], ...]:
@@ -672,7 +506,8 @@ class SweepContext:
         ``seeds[c]`` holds the states that have performed ``c`` required
         operations; the result is the saturation under base-free moves
         (count unchanged) and required-op edges (count + 1), mirroring the
-        set-based ``oracle._closure`` exactly.  Required ops fire level by
+        count-tracking closure of the seed's Theorem 5.7 sweep
+        (:mod:`repro.evaluation.eval_problem`).  Required ops fire level by
         level — counts only grow — so one pass over ``0..total`` suffices.
         """
         total = len(required)
@@ -764,13 +599,13 @@ class _TranslateTable(dict):
 class FlatDFA:
     """An interned lazy DFA over one closure: integer state ids, flat rows.
 
-    The dict kernel memoises ``(mask, class) → mask``; here each distinct
-    state mask is interned to a small integer id and the memo is one
-    contiguous class-indexed ``array('i')`` row per id (``-1`` =
-    unexplored, id ``0`` = the dead state).  The hot sweep loop is then
+    Each distinct state mask is interned to a small integer id, and the
+    memoised "letter step then closure" transition is one contiguous
+    class-indexed ``array('i')`` row per id (``-1`` = unexplored, id
+    ``0`` = the dead state).  The hot sweep loop is then
     ``row[class_id]`` — two indexed loads per character, no tuple keys,
-    no big-int hashing.  Exploration still goes through the mask tables,
-    so semantics are exactly the dict kernel's.
+    no big-int hashing.  Exploration goes through the mask tables
+    (:meth:`successor`), which also serve callers past the state budget.
     """
 
     __slots__ = (
@@ -813,9 +648,8 @@ class FlatDFA:
             self.rows.append(self._blank[:])
         return sid
 
-    def explore(self, sid: int, class_id: int) -> int:
-        """Resolve one unexplored transition (letter step then closure)."""
-        mask = self.masks[sid]
+    def successor(self, mask: int, class_id: int) -> int:
+        """The letter step then closure of a raw state mask (no interning)."""
         step = self.step_flat
         base = class_id * self.num_states
         seeds = 0
@@ -829,15 +663,54 @@ class FlatDFA:
             low = seeds & -seeds
             out |= closure[low.bit_length() - 1]
             seeds ^= low
-        target = self.intern(out)
+        return out
+
+    def explore(self, sid: int, class_id: int) -> int:
+        """Resolve one unexplored transition (letter step then closure)."""
+        target = self.intern(self.successor(self.masks[sid], class_id))
         self.rows[sid][class_id] = target
         return target
+
+    def walk(self, start: int, classes) -> list[int]:
+        """The masks an unpinned sweep occupies from ``start`` over ``classes``.
+
+        Slot ``k`` holds the mask after consuming ``classes[:k]``; once
+        the sweep dies every later slot stays 0.  Past the state budget
+        the sweep restarts on raw masks through :meth:`successor`, so
+        callers never see :class:`FlatOverflow`.
+        """
+        ids = [0] * (len(classes) + 1)
+        try:
+            state = self.intern(start)
+            ids[0] = state
+            rows, explore = self.rows, self.explore
+            row = rows[state]
+            for ahead, class_id in enumerate(classes, 1):
+                target = row[class_id]
+                if target < 0:
+                    target = explore(state, class_id)
+                if not target:
+                    break
+                ids[ahead] = state = target
+                row = rows[target]
+        except FlatOverflow:
+            masks = [0] * (len(classes) + 1)
+            masks[0] = mask = start
+            successor = self.successor
+            for ahead, class_id in enumerate(classes, 1):
+                mask = successor(mask, class_id)
+                if not mask:
+                    break
+                masks[ahead] = mask
+            return masks
+        table = self.masks
+        return [table[sid] for sid in ids]
 
 
 class FlatTables:
     """The flat-table layer of one kernel: interned documents + flat DFAs.
 
-    Built lazily by :meth:`Kernel.flat_or_none` and shared exactly like
+    Built lazily by :attr:`Kernel.flat` and shared exactly like
     the kernel itself — per :class:`~repro.engine.tables.CompiledVA`,
     across every document and oracle call.  Holds the forward/backward
     document-index DFAs; pinned sweep contexts get their own
@@ -945,7 +818,7 @@ class FlatTables:
 
         The no-pin context shares the forward document-index DFA — the
         reachability sweep and the unpinned eval sweep warm the same
-        interned states, mirroring the dict layer's shared delta memo.
+        interned states.
         """
         dfa = context.flat_dfa
         if dfa is None:

@@ -1,33 +1,29 @@
-"""Compiled, memoised ``Eval`` oracles (Theorems 5.7 / 5.10 on tables).
+"""Compiled ``Eval`` oracles (Theorems 5.7 / 5.10 on tables).
 
-Two layers:
+Two sweeps, exactly the two the paper needs:
 
-* :func:`eval_compiled` — a drop-in for
-  :func:`repro.evaluation.eval_problem.eval_va` that runs the same position
-  sweeps over :class:`~repro.engine.tables.CompiledVA` tables.  Sequentiality
-  is decided once at compile time instead of per oracle call, and the letter
-  step is a memoised table lookup.
+* **Theorem 5.7** (sequential automata) runs on the flat tables of
+  :mod:`repro.engine.kernel`: state sets are bitmasks, the per-count
+  buckets of the requirement-tracking closure are per-count masks, and
+  every position without required operations is one interned flat-DFA
+  transition shared across every oracle call on the same automaton
+  (:func:`eval_sequential_flat`).
+* **Theorem 5.10** (the general FPT sweep) tracks performed-sets and
+  free-variable statuses over explicit state sets
+  (:func:`eval_general_compiled`).  It serves non-sequential automata,
+  and sequential ones whose flat DFA exceeds
+  :data:`~repro.engine.kernel.FLAT_STATE_LIMIT` — slower on them, but
+  correct on every VA and exponential only in the number of variables.
 
-* :class:`NodeSweep` — the enumeration-time oracle for one recursion node of
-  Algorithm 2.  A node fixes a base extended mapping ``µ`` and refines one
-  variable ``x``; its sibling branches ``µ[x → (i, j)]`` share the entire
-  sweep prefix below position ``i`` (their requirement profiles agree on
-  every earlier position, and ``x`` is classified identically everywhere but
-  ``i`` and ``j``).  ``NodeSweep`` runs that shared prefix once, records the
-  state-set entering every position, and answers each sibling query by
-  resuming from the recorded set — turning the seed's ``O(|d|)`` sweep per
-  candidate into ``O(|d| - i)`` with the prefix amortised across siblings.
+:func:`eval_compiled` is the drop-in for
+:func:`repro.evaluation.eval_problem.eval_va`; sequentiality is decided
+once at compile time instead of per oracle call.
 
-On kernel-enabled automata the sequential sweeps run over the bitmask
-kernel (:mod:`repro.engine.kernel`): state sets are ints, the per-count
-buckets of the requirement-tracking closure are per-count masks, and
-positions without required operations are single lazy-DFA dict hits
-shared across every oracle call on the same automaton.
-:func:`eval_sequential_sets` and the set-based :class:`NodeSweep` remain
-as the fallback path and the cross-validation baseline; the general
-(FPT) sweep of Theorem 5.10 is always set-based — its simulation states
-carry performed-sets and status vectors that do not pack into per-state
-bits.
+Enumeration (Algorithm 2) asks one recursion node many sibling
+questions ``µ[x → (i, j)]``.  :class:`FlatNodeSweep` answers them with
+shared sweep prefixes (sequential automata); :class:`GeneralNode` runs
+one full Theorem 5.10 sweep per branch.  :func:`node_sweep` picks the
+flat node and falls back to the general one past the state budget.
 """
 
 from __future__ import annotations
@@ -74,161 +70,22 @@ class Requirements:
         return self.required.get(pos, _NO_OPS)
 
 
-def _closure(cva: CompiledVA, seeds, required: frozenset, pinned, nulls):
-    """Saturate ε/operation moves at one position (count-tracking form)."""
-    out = set(seeds)
-    frontier = list(out)
-    total = len(required)
-    eps, opens, closes = cva.eps, cva.opens, cva.closes
-    while frontier:
-        state, count = frontier.pop()
-        for target in eps[state]:
-            nxt = (target, count)
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-        for kind, table in (("o", opens), ("c", closes)):
-            for variable, target in table[state]:
-                if variable in nulls:
-                    # ⊥-pin: the open stays available (a dangling open leaves
-                    # the variable unused), only the close is forbidden.
-                    if kind == "c":
-                        continue
-                    nxt = (target, count)
-                elif variable in pinned:
-                    if (kind, variable) not in required or count >= total:
-                        continue
-                    nxt = (target, count + 1)
-                else:
-                    nxt = (target, count)
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-    return out
-
-
-def _advance(cva: CompiledVA, current, letter: str, needed: int):
-    """Letter step: keep runs that performed every required op, reset counts."""
-    seeds = set()
-    step = cva.step
-    for state, count in current:
-        if count != needed:
-            continue
-        for target in step(state, letter):
-            seeds.add((target, 0))
-    return seeds
-
-
-def eval_sequential_sets(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.7's sweep over compiled tables (set-based fallback)."""
-    end = len(text) + 1
-    requirements = Requirements(cva, end, pinned)
-    if not requirements.valid:
-        return False
-    pinned_set, nulls = requirements.pinned, requirements.nulls
-    current = _closure(
-        cva, {(cva.initial, 0)}, requirements.at(1), pinned_set, nulls
-    )
-    for pos in range(1, end):
-        seeds = _advance(cva, current, text[pos - 1], len(requirements.at(pos)))
-        if not seeds:
-            return False
-        current = _closure(cva, seeds, requirements.at(pos + 1), pinned_set, nulls)
-    return (cva.final, len(requirements.at(end))) in current
-
-
-def _sweep_masks(context, classes, start, end, masks, needed, required_at, entering=None):
-    """Advance per-count masks from position ``start`` up to ``end``.
-
-    The one copy of the kernel sweep loop shared by the ``Eval`` oracle
-    and both phases of :class:`KernelNodeSweep`.  ``masks``/``needed``
-    are the closure at ``start`` (``masks[needed]`` is the live set);
-    ``required_at(pos)`` yields the required-op set entering ``pos``
-    (falsy for none — the memoised lazy-DFA fast path).  When
-    ``entering`` is given, the count-0 closed mask entering every swept
-    position is recorded into it.  Returns the final ``(masks, needed)``
-    pair, or ``None`` once no run survives.
-    """
-    for pos in range(start, end):
-        mask = masks[needed]
-        if not mask:
-            return None
-        class_id = classes[pos - 1]
-        upcoming = required_at(pos + 1)
-        if upcoming:
-            seeds = context.letter(mask, class_id)
-            masks = context.closure_counted([seeds], upcoming) if seeds else None
-            if entering is not None:
-                entering[pos + 1] = masks[0] if masks else 0
-            if masks is None:
-                return None
-            needed = len(upcoming)
-        else:
-            mask = context.delta_step(mask, class_id)
-            if entering is not None:
-                entering[pos + 1] = mask
-            if not mask:
-                return None
-            masks = [mask]
-            needed = 0
-    return masks, needed
-
-
-def eval_sequential_kernel(
-    cva: CompiledVA,
-    text: str,
-    pinned,
-    kernel: Kernel | None = None,
-    classes: "tuple[int, ...] | None" = None,
-) -> bool:
-    """Theorem 5.7's sweep over the bitmask kernel.
-
-    The requirement-tracking state sets become per-count masks; positions
-    with no required operations (all but the ≤ 2k pinned-span endpoints)
-    are one memoised lazy-DFA transition each.
-    """
-    end = len(text) + 1
-    requirements = Requirements(cva, end, pinned)
-    if not requirements.valid:
-        return False
-    if kernel is None:
-        kernel = cva.kernel
-    context = kernel.context(
-        frozenset(requirements.pinned), frozenset(requirements.nulls)
-    )
-    if classes is None:
-        classes = kernel.intern(text)
-    required = requirements.required
-    first = required.get(1)
-    initial_mask = 1 << cva.initial
-    if first:
-        masks = context.closure_counted([initial_mask], first)
-        needed = len(first)
-    else:
-        masks = [context.close(initial_mask)]
-        needed = 0
-    swept = _sweep_masks(context, classes, 1, end, masks, needed, required.get)
-    if swept is None:
-        return False
-    masks, needed = swept
-    return bool((masks[needed] >> cva.final) & 1)
-
-
 def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, entering=None):
     """Advance per-count masks from ``start`` to ``end`` on the flat DFA.
 
-    The flat twin of :func:`_sweep_masks`: positions with required
-    operations (the sorted keys of the ``required`` dict in
-    ``(start, end]``) are handled exactly like the dict path — raw
-    letter step, counted closure — while every run of plain positions
+    ``masks``/``needed`` are the closure at ``start`` (``masks[needed]``
+    is the live set).  Positions with required operations (the sorted
+    keys of the ``required`` dict in ``(start, end]``) take a raw letter
+    step and a counted closure, while every run of plain positions
     between them is walked on the interned DFA: two indexed loads per
     character, re-interning the live mask only when re-entering from a
-    counted closure.  Verdicts match :func:`_sweep_masks` bit for bit;
-    the recorded ``entering`` slots hold interned *state ids* (resolve
-    through ``fdfa.masks``; id 0 is the dead mask, so the 0-then-stop
-    dead convention carries over).  A state-table overflow raises
-    :class:`~repro.engine.kernel.FlatOverflow` for the caller to fall
-    back.
+    counted closure.  When ``entering`` is given, the interned *state id*
+    of the count-0 closed mask entering every swept position is recorded
+    into it (resolve through ``fdfa.masks``; id 0 is the dead mask, and
+    slots after a dead position stay 0).  Returns the final ``(masks,
+    needed)`` pair, or ``None`` once no run survives.  A state-table
+    overflow raises :class:`~repro.engine.kernel.FlatOverflow` for the
+    caller to fall back.
     """
     if start >= end:
         return masks, needed
@@ -271,7 +128,7 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, ent
         if point > end:
             return [state_masks[state]], 0
         # Counted landing at ``point``: raw letter step off the live mask,
-        # then the requirement-tracking closure — same as the dict path.
+        # then the requirement-tracking closure.
         upcoming = required[point]
         seeds = context.letter(state_masks[state], classes[point - 2])
         masks = context.closure_counted([seeds], upcoming) if seeds else None
@@ -300,8 +157,8 @@ def eval_sequential_flat(
 ) -> bool:
     """Theorem 5.7's sweep over the flat tables.
 
-    May raise :class:`~repro.engine.kernel.FlatOverflow`; callers fall
-    back to :func:`eval_sequential_kernel` (same verdicts, dict memo).
+    May raise :class:`~repro.engine.kernel.FlatOverflow`;
+    :func:`eval_sequential_compiled` then falls back to the general sweep.
     """
     end = len(text) + 1
     requirements = Requirements(cva, end, pinned)
@@ -330,17 +187,13 @@ def eval_sequential_flat(
 
 
 def eval_sequential_compiled(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.7's sweep: flat tables, then the dict kernel, then sets."""
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return eval_sequential_sets(cva, text, pinned)
-    flat = kernel.flat_or_none()
-    if flat is not None:
-        try:
-            return eval_sequential_flat(cva, text, pinned, kernel, flat)
-        except FlatOverflow:
-            pass
-    return eval_sequential_kernel(cva, text, pinned, kernel)
+    """Theorem 5.7's sweep on the flat tables; past the state budget,
+    Theorem 5.10's general sweep (same verdicts on sequential automata)."""
+    kernel = cva.kernel
+    try:
+        return eval_sequential_flat(cva, text, pinned, kernel, kernel.flat)
+    except FlatOverflow:
+        return eval_general_compiled(cva, text, pinned)
 
 
 def _general_closure(cva: CompiledVA, seeds, required: frozenset, pinned, nulls, index):
@@ -449,257 +302,44 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     return eval_general_compiled(cva, text, pinned)
 
 
-class NodeSweep:
-    """Sibling-sharing oracle for one recursion node (sequential automata).
+class GeneralNode:
+    """Per-node oracle on the general sweep (one full sweep per branch).
 
-    The base context pins every previously fixed variable and treats the
-    refined variable ``x`` as *operation-less pinned* — classified exactly
-    like ``x → ⊥``, so the base sweep simultaneously answers the ``⊥``
-    branch and provides correct entry state-sets for every span branch.
+    Serves non-sequential automata, and sequential ones whose flat DFA
+    exceeds :data:`~repro.engine.kernel.FLAT_STATE_LIMIT`.
     """
 
-    __slots__ = (
-        "cva",
-        "text",
-        "end",
-        "variable",
-        "valid",
-        "_requirements",
-        "_pinned",
-        "_nulls",
-        "_entering",
-        "_final_states",
-        "_open_key",
-        "_close_key",
-    )
+    __slots__ = ("cva", "text", "base", "variable")
 
     def __init__(self, cva: CompiledVA, text: str, base, variable: Variable) -> None:
         self.cva = cva
         self.text = text
-        self.end = len(text) + 1
+        self.base = base
         self.variable = variable
-        requirements = Requirements(cva, self.end, base)
-        self.valid = requirements.valid
-        self._requirements = requirements
-        self._entering: list = []
-        self._final_states = None
-        self._open_key = open_key(variable)
-        self._close_key = close_key(variable)
-        if not self.valid:
-            return
-        # x joins the pinned set with no required ops anywhere: forbidden at
-        # every position, exactly like the ⊥ pin, so the prefix state-sets
-        # are shared verbatim by every sibling branch.
-        self._pinned = requirements.pinned | {variable}
-        self._nulls = requirements.nulls
-        self._run_base()
-
-    def _run_base(self) -> None:
-        cva, text, end = self.cva, self.text, self.end
-        requirements = self._requirements
-        entering: list = [None] * (end + 1)
-        entering[1] = {(cva.initial, 0)}
-        current = _closure(
-            cva, entering[1], requirements.at(1), self._pinned, self._nulls
-        )
-        for pos in range(1, end):
-            seeds = _advance(
-                cva, current, text[pos - 1], len(requirements.at(pos))
-            )
-            entering[pos + 1] = seeds
-            if not seeds:
-                # Every later position is unreachable in the base context.
-                for later in range(pos + 2, end + 1):
-                    entering[later] = seeds
-                self._entering = entering
-                self._final_states = frozenset()
-                return
-            current = _closure(
-                cva, seeds, requirements.at(pos + 1), self._pinned, self._nulls
-            )
-        self._entering = entering
-        self._final_states = current
 
     def accepts_null(self) -> bool:
-        """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
-        if not self.valid:
-            return False
-        return (self.cva.final, len(self._requirements.at(self.end))) in self._final_states
+        pinned = dict(self.base)
+        pinned[self.variable] = NULL
+        return eval_general_compiled(self.cva, self.text, pinned)
 
     def accepts_span(self, span: Span) -> bool:
-        """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
-        if not self.valid:
-            return False
-        i, j = span.begin, span.end
-        if i < 1 or j > self.end or self.variable not in self.cva.variables:
-            return False
-        entering = self._entering[i]
-        if not entering:
-            return False
-        cva, text, end = self.cva, self.text, self.end
-        requirements = self._requirements
-
-        def required_at(pos: int) -> frozenset:
-            base = requirements.at(pos)
-            if pos != i and pos != j:
-                return base
-            extra = set(base)
-            if pos == i:
-                extra.add(self._open_key)
-            if pos == j:
-                extra.add(self._close_key)
-            return frozenset(extra)
-
-        current = _closure(cva, entering, required_at(i), self._pinned, self._nulls)
-        for pos in range(i, end):
-            seeds = _advance(cva, current, text[pos - 1], len(required_at(pos)))
-            if not seeds:
-                return False
-            current = _closure(
-                cva, seeds, required_at(pos + 1), self._pinned, self._nulls
-            )
-        return (cva.final, len(required_at(end))) in current
-
-
-class KernelNodeSweep:
-    """The :class:`NodeSweep` oracle over the bitmask kernel.
-
-    Same prefix-sharing contract: the base sweep (one lazy-DFA hit per
-    position) records the count-0 closed mask *entering* every position,
-    and each sibling span ``(i, j)`` resumes from position ``i`` with the
-    open/close requirements spliced in — base closure is idempotent, so
-    resuming from the closed mask is equivalent to resuming from the raw
-    seeds the set-based sweep records.
-    """
-
-    __slots__ = (
-        "cva",
-        "text",
-        "end",
-        "variable",
-        "valid",
-        "_context",
-        "_classes",
-        "_required",
-        "_entering",
-        "_final_masks",
-        "_final_needed",
-        "_open_key",
-        "_close_key",
-    )
-
-    def __init__(
-        self,
-        cva: CompiledVA,
-        text: str,
-        base,
-        variable: Variable,
-        kernel: Kernel | None = None,
-        classes: "tuple[int, ...] | None" = None,
-    ) -> None:
-        self.cva = cva
-        self.text = text
-        self.end = len(text) + 1
-        self.variable = variable
-        requirements = Requirements(cva, self.end, base)
-        self.valid = requirements.valid
-        self._open_key = open_key(variable)
-        self._close_key = close_key(variable)
-        if not self.valid:
-            return
-        if kernel is None:
-            kernel = cva.kernel
-        # x joins the pinned set with no required ops anywhere: forbidden at
-        # every position, exactly like the ⊥ pin, so the prefix masks are
-        # shared verbatim by every sibling branch.
-        self._context = kernel.context(
-            frozenset(requirements.pinned | {variable}),
-            frozenset(requirements.nulls),
-        )
-        self._classes = kernel.intern(text) if classes is None else classes
-        self._required = requirements.required
-        self._run_base()
-
-    def _run_base(self) -> None:
-        context, classes = self._context, self._classes
-        required = self._required
-        end = self.end
-        entering = [0] * (end + 1)
-        initial_mask = 1 << self.cva.initial
-        entering[1] = context.close(initial_mask)
-        first = required.get(1)
-        if first:
-            masks = context.closure_counted([initial_mask], first)
-            needed = len(first)
-        else:
-            masks = [entering[1]]
-            needed = 0
-        swept = _sweep_masks(
-            context, classes, 1, end, masks, needed, required.get, entering
-        )
-        self._entering = entering
-        if swept is None:
-            # Some position was unreachable in the base context; every
-            # later ``entering`` slot stays 0 and no branch can accept.
-            self._final_masks = [0]
-            self._final_needed = 0
-        else:
-            self._final_masks, self._final_needed = swept
-
-    def accepts_null(self) -> bool:
-        """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
-        if not self.valid:
-            return False
-        tail = len(self._required.get(self.end, _NO_OPS))
-        if tail != self._final_needed:
-            return False
-        return bool((self._final_masks[tail] >> self.cva.final) & 1)
-
-    def accepts_span(self, span: Span) -> bool:
-        """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
-        if not self.valid:
-            return False
-        i, j = span.begin, span.end
-        if i < 1 or j > self.end or self.variable not in self.cva.variables:
-            return False
-        entering = self._entering[i]
-        if not entering:
-            return False
-        context, classes = self._context, self._classes
-        required = self._required
-        end = self.end
-        open_at, close_at = self._open_key, self._close_key
-
-        def required_at(pos: int) -> frozenset:
-            base = required.get(pos, _NO_OPS)
-            if pos != i and pos != j:
-                return base
-            extra = set(base)
-            if pos == i:
-                extra.add(open_at)
-            if pos == j:
-                extra.add(close_at)
-            return frozenset(extra)
-
-        first = required_at(i)
-        masks = context.closure_counted([entering], first)
-        swept = _sweep_masks(
-            context, classes, i, end, masks, len(first), required_at
-        )
-        if swept is None:
-            return False
-        masks, needed = swept
-        return bool((masks[needed] >> self.cva.final) & 1)
+        pinned = dict(self.base)
+        pinned[self.variable] = span
+        return eval_general_compiled(self.cva, self.text, pinned)
 
 
 class FlatNodeSweep:
-    """The :class:`NodeSweep` oracle over the flat tables.
+    """Sibling-sharing oracle for one recursion node (sequential automata).
 
-    Same prefix-sharing contract as :class:`KernelNodeSweep` — the base
-    sweep records the count-0 closed mask entering every position, each
-    sibling span resumes from position ``i`` with the open/close
-    requirements spliced in — but plain positions walk the interned flat
-    DFA, and the sharing goes two levels deeper:
+    A node fixes a base extended mapping ``µ`` and refines one variable
+    ``x``.  The base context pins every previously fixed variable and
+    treats ``x`` as *operation-less pinned* — classified exactly like
+    ``x → ⊥`` — so one base sweep both answers the ``⊥`` branch and
+    records the count-0 closed mask entering every position.  Each
+    sibling span ``(i, j)`` resumes from position ``i`` with the
+    open/close requirements spliced in (base closure is idempotent, so
+    resuming from a closed mask is exact).  Plain positions walk the
+    interned flat DFA, and the sharing goes two levels deeper:
 
     * for a fixed open position ``i``, one *open sweep* (the open
       spliced at ``i``) records the masks entering every later position,
@@ -709,7 +349,7 @@ class FlatNodeSweep:
     * one *backward co-acceptance sweep* per node records, for every
       position ``j``, the states that can still complete the suffix
       ``j..end`` under the base requirements — so the run from ``j`` to
-      ``end`` that both dict-path resumes repeat per span collapses to a
+      ``end`` that every resume would otherwise repeat collapses to a
       single mask intersection.  Forward masks are closed under the
       context's free moves and the backward masks are closed under their
       reversal, so a non-empty intersection is exactly suffix
@@ -718,10 +358,10 @@ class FlatNodeSweep:
     A span verdict is then one counted closure plus two table lookups;
     a rejected span usually costs a single list lookup (its recorded
     open-sweep mask is 0).  A state-table overflow during construction
-    propagates (:func:`node_sweep` falls back to a
-    :class:`KernelNodeSweep`); an overflow during a span query is
-    absorbed by delegating that node to a lazily built dict-kernel twin,
-    so callers never see it.
+    propagates (:func:`node_sweep` falls back to a :class:`GeneralNode`);
+    an overflow during a span query hands that query, and every later
+    one, to a :class:`GeneralNode` built on the spot, so callers never
+    see it and the half-updated sweep caches are never read again.
     """
 
     __slots__ = (
@@ -730,7 +370,6 @@ class FlatNodeSweep:
         "end",
         "variable",
         "valid",
-        "_kernel",
         "_context",
         "_fdfa",
         "_classes",
@@ -773,10 +412,9 @@ class FlatNodeSweep:
         self._open_entering: list[int] | None = None
         self._coaccept_masks: list[int] | None = None
         self._coaccept_table: list[int] | None = None
-        self._fallback: KernelNodeSweep | None = None
+        self._fallback: GeneralNode | None = None
         if not self.valid:
             return
-        self._kernel = kernel
         self._base = base
         self._flat = flat
         self._context = kernel.context(
@@ -812,19 +450,6 @@ class FlatNodeSweep:
             self._final_needed = 0
         else:
             self._final_masks, self._final_needed = swept
-
-    def _dict_twin(self) -> "KernelNodeSweep":
-        """The dict-kernel twin of this node (flat-DFA overflow escape)."""
-        if self._fallback is None:
-            self._fallback = KernelNodeSweep(
-                self.cva,
-                self.text,
-                self._base,
-                self.variable,
-                self._kernel,
-                self._classes,
-            )
-        return self._fallback
 
     def accepts_null(self) -> bool:
         """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
@@ -970,6 +595,8 @@ class FlatNodeSweep:
         entering = self._entering[i]
         if not entering:
             return False
+        if self._fallback is not None:
+            return self._fallback.accepts_span(span)
         context = self._context
         required = self._required
         state_masks = self._fdfa.masks
@@ -996,7 +623,8 @@ class FlatNodeSweep:
             coaccept = self._coaccept()[j]
             return bool(coaccept and live & self._coaccept_table[coaccept])
         except FlatOverflow:
-            return self._dict_twin().accepts_span(span)
+            self._fallback = GeneralNode(self.cva, self.text, self._base, self.variable)
+            return self._fallback.accepts_span(span)
 
 
 def node_sweep(
@@ -1006,36 +634,10 @@ def node_sweep(
     variable: Variable,
     classes=None,
 ):
-    """The sequential enumeration-node oracle: flat, dict kernel, or sets."""
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return NodeSweep(cva, text, base, variable)
-    flat = kernel.flat_or_none()
-    if flat is not None:
-        try:
-            return FlatNodeSweep(cva, text, base, variable, kernel, flat, classes)
-        except FlatOverflow:
-            pass
-    return KernelNodeSweep(cva, text, base, variable, kernel, classes)
-
-
-class GeneralNode:
-    """Per-node oracle for non-sequential automata (full sweep per branch)."""
-
-    __slots__ = ("cva", "text", "base", "variable")
-
-    def __init__(self, cva: CompiledVA, text: str, base, variable: Variable) -> None:
-        self.cva = cva
-        self.text = text
-        self.base = base
-        self.variable = variable
-
-    def accepts_null(self) -> bool:
-        pinned = dict(self.base)
-        pinned[self.variable] = NULL
-        return eval_general_compiled(self.cva, self.text, pinned)
-
-    def accepts_span(self, span: Span) -> bool:
-        pinned = dict(self.base)
-        pinned[self.variable] = span
-        return eval_general_compiled(self.cva, self.text, pinned)
+    """The sequential enumeration-node oracle: a :class:`FlatNodeSweep`,
+    or a :class:`GeneralNode` past the flat-DFA state budget."""
+    kernel = cva.kernel
+    try:
+        return FlatNodeSweep(cva, text, base, variable, kernel, kernel.flat, classes)
+    except FlatOverflow:
+        return GeneralNode(cva, text, base, variable)

@@ -21,18 +21,19 @@ Three batch entry points sit on top of the lockstep sweep:
   vectorized bitwise pass instead of a per-position python loop);
 * :func:`batch_accept` — NonEmp verdicts for a batch on sequential
   automata, straight off the forward reach sweep (the state walked is
-  exactly the one ``eval_sequential_flat`` walks with no pins, so the
-  verdicts are identical by construction);
+  exactly the one the unpinned Theorem 5.7 sweep walks, so the verdicts
+  are identical by construction);
 * :func:`op_positions_np` — the vectorized per-variable open/close
   position filter over precomputed reach/coreach mask arrays.
 
 Every helper returns ``None`` whenever the fast path cannot run —
 numpy absent or disabled (``REPRO_NO_NUMPY=1``), the layer switched off
-(``REPRO_NO_VECTOR=1`` / :func:`vector_disabled`), the kernel or flat
-layer off, more than 256 alphabet classes, a batch too large to pad
-densely, or :class:`~repro.engine.kernel.FlatOverflow` during
-exploration — and the caller falls back to the per-document flat path,
-which computes the same states from the same tables.  Outputs are
+(``REPRO_NO_VECTOR=1`` / :func:`vector_disabled`), more than 256
+alphabet classes, a batch too large to pad densely, or
+:class:`~repro.engine.kernel.FlatOverflow` during exploration — and the
+caller falls back to the per-document path, which computes the same
+states from the same tables (or, past the state budget, the same
+verdicts on its overflow path).  Outputs are
 bit-identical either way; ``tests/engine/test_vector.py`` cross-validates
 this differentially.
 
@@ -65,8 +66,8 @@ def vector_enabled() -> bool:
 
     Requires numpy (see :func:`~repro.engine.kernel.numpy_or_none`);
     ``REPRO_NO_VECTOR=1`` forces the per-document flat paths process-wide
-    while leaving numpy document-interning on — the same 0/1 convention
-    as ``REPRO_NO_FLAT`` one layer down.
+    while leaving numpy document-interning on (unset or ``0`` leaves the
+    layer on).
     """
     return (
         _VECTOR_ENABLED
@@ -203,14 +204,12 @@ def vector_tables(flat) -> VectorTables:
 
 
 def _flat_or_none(cva):
-    """The (kernel, flat) pair when every layer below us is on, else ``None``."""
+    """The (kernel, flat) pair when the vector layer can run, else ``None``."""
     if not vector_enabled():
         return None
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return None
-    flat = kernel.flat_or_none()
-    if flat is None or flat.num_classes > 256:
+    kernel = cva.kernel
+    flat = kernel.flat
+    if flat.num_classes > 256:
         # >256 classes interns to tuples, not bytes — stay per-document.
         return None
     return kernel, flat
@@ -328,9 +327,10 @@ def batch_accept(cva, texts):
 
     Only valid on sequential automata (``cva.is_sequential``): the
     forward reach sweep then walks exactly the DFA the unpinned
-    ``eval_sequential_flat`` walks, so the final-state bit at document
-    end *is* the verdict.  Verdict extraction never materialises
-    per-document sweep rows — one gather pulls every lane's final sid.
+    :func:`~repro.engine.oracle.eval_sequential_flat` walks, so the
+    final-state bit at document end *is* the verdict.  Verdict extraction
+    never materialises per-document sweep rows — one gather pulls every
+    lane's final sid.
     """
     if not cva.is_sequential:
         return None

@@ -11,9 +11,9 @@ serial batch path and the dominant overhead is shipping documents and
 results (the automaton rides along as a once-pickled blob that warm
 workers never even unpickle).  Keeping the
 engine also keeps its bitmask kernel (:mod:`repro.engine.kernel`): the
-lazy-DFA ``delta`` memo and alphabet classes warm up on the first
-documents and are shared across the worker's whole batch, which is where
-the kernel's corpus-throughput win (benchmark E22) comes from.
+flat lazy DFAs and alphabet classes warm up on the first documents and
+are shared across the worker's whole batch, which is where the engine's
+corpus-throughput win (benchmark E19) comes from.
 
 Results stream back as :class:`CorpusResult` records:
 
@@ -77,6 +77,16 @@ _BACKLOG_PER_WORKER = 2
 #: tolerates before declaring itself failed (:class:`PoolBroken`).
 DEFAULT_MAX_REBUILDS = 5
 
+# Fork-started executors spawn their workers inside ``submit``.  A fork
+# copies every descriptor the parent holds, including the write end of
+# the death-sentinel pipe of a worker another thread is forking at the
+# same moment (the parent closes it only after its own fork returns).
+# The inherited copy keeps that sentinel from ever signalling, so the
+# executor waits forever on a dead worker.  Retry timers, quarantine
+# probes and the corpus loop all submit from different threads, so
+# every submit that may spawn goes through this lock.
+_SPAWN_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class CorpusResult:
@@ -109,7 +119,7 @@ class CorpusResult:
 # VA shipped with the batch); every later batch for the same fingerprint —
 # whether from the same corpus run or, under the online server, from a
 # completely different request — reuses the warm engine, so document
-# indexes, Eval verdicts, and the kernel's lazy-DFA memo accumulate in the
+# indexes, Eval verdicts, and the kernel's flat DFAs accumulate in the
 # worker exactly as they do serially.
 
 #: Distinct engines a worker keeps warm (LRU); the online server can route
@@ -498,15 +508,17 @@ class WorkerPool:
             generation = self._generation
             pool = self._pool
         try:
-            inner = pool.submit(
-                _evaluate_batch,
-                engine.fingerprint,
-                self._automaton_blob(engine),
-                list(task["records"]),
-                task["kind"],
-                task["spans"],
-                self._segment(engine),
-            )
+            blob, segment = self._automaton_blob(engine), self._segment(engine)
+            with _SPAWN_LOCK:
+                inner = pool.submit(
+                    _evaluate_batch,
+                    engine.fingerprint,
+                    blob,
+                    list(task["records"]),
+                    task["kind"],
+                    task["spans"],
+                    segment,
+                )
         except BrokenExecutor:
             self._rebuild(generation)
             self._retry_or_fail(engine, task, outer, "worker process died")
@@ -673,15 +685,17 @@ class WorkerPool:
             initargs=(self._artifact_dir,),
         )
         try:
-            future = probe_pool.submit(
-                _evaluate_batch,
-                engine.fingerprint,
-                self._automaton_blob(engine),
-                list(records),
-                kind,
-                spans,
-                self._segment(engine),
-            )
+            blob, segment = self._automaton_blob(engine), self._segment(engine)
+            with _SPAWN_LOCK:
+                future = probe_pool.submit(
+                    _evaluate_batch,
+                    engine.fingerprint,
+                    blob,
+                    list(records),
+                    kind,
+                    spans,
+                    segment,
+                )
             try:
                 triples, (fingerprint, snapshot) = future.result(
                     timeout=self._task_timeout

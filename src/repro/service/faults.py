@@ -224,7 +224,11 @@ class FaultRegistry:
 
         The file grows by one byte per check (``O_APPEND`` writes are
         atomic at this size), so its length *is* the cross-process check
-        counter — no locking protocol between processes needed.
+        counter — no locking protocol between processes needed.  The
+        index is where *this* write landed (the descriptor's offset right
+        after it), not the file's length, which a concurrent check may
+        already have grown: two workers checking at once must get
+        distinct indexes, or a budget of one fires in neither.
         """
         path = os.path.join(self._state_dir, f"{point}.fired")
         descriptor = os.open(
@@ -232,7 +236,7 @@ class FaultRegistry:
         )
         try:
             os.write(descriptor, b".")
-            return os.fstat(descriptor).st_size - 1
+            return os.lseek(descriptor, 0, os.SEEK_CUR) - 1
         finally:
             os.close(descriptor)
 

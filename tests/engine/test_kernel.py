@@ -1,37 +1,37 @@
-"""The bitmask kernel: alphabet classes, mask sweeps, lazy-DFA memos.
+"""The bitmask kernel: alphabet classes, mask tables, flat lazy DFAs.
 
-Every test cross-validates the kernel against the set-based engine paths
-it replaces (which remain first-class as the fallback), or pins down the
-kernel's own invariants — class partitioning with cofinite charsets,
-memo bounds, prefix sharing.  All tests carry the ``kernel`` marker, so
-``pytest -m kernel`` is the fast loop for engine work.
+Every test cross-validates the kernel against a set-based reference —
+the seed evaluators, or the brute-force set sweep of
+``tests/engine/reference.py`` for the reachability index the seed does
+not have — or pins down the kernel's own invariants: class partitioning
+with cofinite charsets, the state budget, table sharing.  All tests
+carry the ``kernel`` marker, so ``pytest -m kernel`` is the fast loop
+for engine work.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.alphabet import CharSet
 from repro.automata.labels import Open
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
-from repro.engine import compile_va, flat_disabled, kernel_disabled
-from repro.engine.compiled import compile_spanner
+from repro.engine import compile_va
 from repro.engine import kernel as kernel_module
-from repro.engine.kernel import AlphabetClasses, iter_bits
-from repro.engine.oracle import (
-    KernelNodeSweep,
-    NodeSweep,
-    eval_sequential_kernel,
-    eval_sequential_sets,
-)
-from repro.engine.tables import DocumentIndex
+from repro.engine.compiled import compile_spanner
+from repro.engine.kernel import AlphabetClasses, FlatOverflow, iter_bits
+from repro.engine.oracle import eval_sequential_compiled, node_sweep
+from repro.engine.tables import CompiledVA, DocumentIndex
+from repro.evaluation.enumerate import enumerate_va_oracle
+from repro.evaluation.eval_problem import eval_va
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
+from repro.rgx.semantics import mappings
 from repro.spans.mapping import NULL, ExtendedMapping
-from repro.spans.span import Span, all_spans
+from repro.spans.span import all_spans
 from repro.workloads.expressions import seller_like_sequential_rgx
-from tests.strategies import VARIABLES, documents, rgx_expressions
+from tests.engine.reference import extended_pins, set_index
+from tests.strategies import documents, rgx_expressions
 
 pytestmark = pytest.mark.kernel
 
@@ -113,30 +113,38 @@ class TestKernelTables:
                     expected |= 1 << target
                 assert kernel.step[class_id][state] == expected
 
-    def test_delta_memo_records_transitions(self):
+    def test_flat_dfa_explores_letter_step_then_closure(self):
         cva = compile_va(to_va(seller_like_sequential_rgx(1)))
         kernel = cva.kernel
-        kernel.delta.clear()
-        mask = kernel.free[cva.initial]
-        class_id = kernel.classes.residual
-        first = kernel.delta_step(mask, class_id)
-        assert kernel.delta[(mask, class_id)] == first
-        assert kernel.delta_step(mask, class_id) == first  # memo hit
-
-    def test_delta_memo_is_bounded(self, monkeypatch):
-        cva = compile_va(to_va(seller_like_sequential_rgx(1)))
-        kernel = cva.kernel
-        kernel.delta.clear()
-        monkeypatch.setattr(kernel_module, "DELTA_LIMIT", 0)
+        dfa = kernel.flat.dfa
         mask = kernel.free[cva.initial]
         class_id = kernel.classes.classify("f")
-        computed = kernel.delta_step(mask, class_id)
-        # over the bound: still computed correctly, just not recorded
-        assert kernel.delta == {}
         seeds = 0
         for state in iter_bits(mask):
             seeds |= kernel.step[class_id][state]
-        assert computed == (kernel.close(seeds) if seeds else 0)
+        expected = 0
+        for state in iter_bits(seeds):
+            expected |= kernel.free[state]
+        assert dfa.successor(mask, class_id) == expected
+        sid = dfa.intern(mask)
+        target = dfa.explore(sid, class_id)
+        assert dfa.masks[target] == expected
+        assert dfa.rows[sid][class_id] == target  # memoised in the row
+
+    def test_flat_dfa_is_bounded(self, monkeypatch):
+        cva = CompiledVA(to_va(seller_like_sequential_rgx(1)))
+        kernel = cva.kernel
+        dfa = kernel.flat.dfa
+        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", 1)
+        with pytest.raises(FlatOverflow):
+            dfa.intern(kernel.free[cva.initial])
+        # Past the budget the walk still computes every mask, uninterned.
+        classes = kernel.flat.intern("f0=a;")
+        masks = dfa.walk(kernel.free[cva.initial], classes)
+        assert masks[0] == kernel.free[cva.initial]
+        for before, after, class_id in zip(masks, masks[1:], classes):
+            assert after == dfa.successor(before, class_id)
+        assert dfa.masks == [0]
 
     def test_intern_cache_verifies_text_on_hit(self):
         cva = compile_va(to_va(seller_like_sequential_rgx(1)))
@@ -146,36 +154,19 @@ class TestKernelTables:
         assert kernel.intern("f0=b;") != ()  # different text, no false hit
 
 
-@st.composite
-def extended_pins(draw, document_length: int = 4) -> ExtendedMapping:
-    limit = document_length + 1
-    pins = {}
-    for variable in draw(
-        st.sets(st.sampled_from(VARIABLES), min_size=0, max_size=3)
-    ):
-        if draw(st.booleans()):
-            begin = draw(st.integers(min_value=1, max_value=limit))
-            end = draw(st.integers(min_value=begin, max_value=limit))
-            pins[variable] = Span(begin, end)
-        else:
-            pins[variable] = NULL
-    return ExtendedMapping(pins)
-
-
 class TestKernelAgainstSets:
+    """The kernel against set-based references (seed and brute force)."""
+
     @given(expression=rgx_expressions(), document=documents())
     @settings(max_examples=60, deadline=None)
     def test_document_index_matches_set_index(self, expression, document):
         compiled = plan(expression, opt_level=1)
         cva = compile_va(compiled.automaton)
-        kernel_index = DocumentIndex(cva, document, use_kernel=True)
-        set_index = DocumentIndex(cva, document, use_kernel=False)
-        assert kernel_index.reach == set_index.reach
-        assert kernel_index.coreach == set_index.coreach
-        for variable in sorted(cva.variables):
-            assert kernel_index.candidate_spans(variable) == set_index.candidate_spans(
-                variable
-            )
+        index = DocumentIndex(cva, document)
+        assert (index.reach, index.coreach) == set_index(cva, document)
+        for mapping in mappings(expression, document):
+            for variable, span in mapping.items():
+                assert span in index.candidate_spans(variable)
 
     @given(
         expression=rgx_expressions(),
@@ -184,37 +175,38 @@ class TestKernelAgainstSets:
     )
     @settings(max_examples=60, deadline=None)
     def test_sequential_eval_matches_sets(self, expression, document, pinned):
-        cva = compile_va(plan(expression, opt_level=1).automaton)
+        automaton = plan(expression, opt_level=1).automaton
+        cva = compile_va(automaton)
         if not cva.is_sequential:
             return
-        assert eval_sequential_kernel(cva, document, pinned) == eval_sequential_sets(
-            cva, document, pinned
+        assert eval_sequential_compiled(cva, document, pinned) == eval_va(
+            automaton, document, pinned
         )
 
     @given(expression=rgx_expressions(), document=documents(max_length=5))
     @settings(max_examples=40, deadline=None)
     def test_node_sweep_matches_set_sweep(self, expression, document):
-        cva = compile_va(plan(expression, opt_level=1).automaton)
+        automaton = plan(expression, opt_level=1).automaton
+        cva = compile_va(automaton)
         if not cva.is_sequential or not cva.mentioned_variables:
             return
         variable = sorted(cva.mentioned_variables)[0]
-        kernel_node = KernelNodeSweep(cva, document, {}, variable)
-        set_node = NodeSweep(cva, document, {}, variable)
-        assert kernel_node.accepts_null() == set_node.accepts_null()
+        node = node_sweep(cva, document, {}, variable)
+        assert node.accepts_null() == eval_va(
+            automaton, document, ExtendedMapping({variable: NULL})
+        )
         for span in all_spans(len(document)):
-            assert kernel_node.accepts_span(span) == set_node.accepts_span(span), span
+            assert node.accepts_span(span) == eval_va(
+                automaton, document, ExtendedMapping({variable: span})
+            ), span
 
     @given(expression=rgx_expressions(), document=documents())
     @settings(max_examples=40, deadline=None)
     def test_mappings_identical_at_every_opt_level(self, expression, document):
+        expected = mappings(expression, document)
         for level in OPT_LEVELS:
             engine = compile_spanner(expression, opt_level=level)
-            with_kernel = engine.mappings(document)
-            with kernel_disabled():
-                without = compile_spanner(expression, opt_level=level).mappings(
-                    document
-                )
-            assert with_kernel == without
+            assert engine.mappings(document) == expected
 
     def test_sequentialised_non_sequential_source(self):
         # The e21 trick: a bogus unusable open makes the source fail the
@@ -226,25 +218,12 @@ class TestKernelAgainstSets:
         document = "f0=ab;f1=cd;"
         engine = compile_spanner(automaton, opt_level=1)
         assert engine.tables.is_sequential  # the plan sequentialised it
-        with kernel_disabled():
-            expected = compile_spanner(automaton, opt_level=1).mappings(document)
+        expected = set(enumerate_va_oracle(automaton, document))
         assert engine.mappings(document) == expected
         assert expected  # the workload must actually produce mappings
 
 
 class TestKernelSharing:
-    def test_delta_memo_shared_across_documents(self):
-        engine = compile_spanner(".*x{a+}.*")
-        engine.tables.kernel.delta.clear()
-        with flat_disabled():  # the dict memo is the layer under test
-            assert engine.mappings("baa")
-            entries = len(engine.tables.kernel.delta)
-            assert entries > 0
-            assert engine.mappings("aab")  # same classes, mostly memo hits
-        stats = engine.kernel_stats()
-        assert stats["delta"] >= entries
-        assert stats["classes"] >= 2
-
     def test_flat_states_shared_across_documents(self):
         engine = compile_spanner(".*x{a+}.*")
         assert engine.mappings("baa")
@@ -252,10 +231,3 @@ class TestKernelSharing:
         assert states > 0
         assert engine.mappings("aab")  # same classes: mostly interned hits
         assert engine.kernel_stats()["flat_states"] >= states
-
-    def test_kernel_disabled_forces_set_paths(self):
-        engine = compile_spanner(".*x{a+}.*")
-        with kernel_disabled():
-            index = engine.index("ba")
-            assert index.classes is None  # set-based build
-        assert engine.index("ab").classes is not None  # distinct cache entry

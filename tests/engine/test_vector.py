@@ -3,9 +3,8 @@
 :mod:`repro.engine.vector` advances a whole corpus batch through the
 flat DFA in lockstep; the contract is that every observable output —
 NonEmp verdicts, document indexes, candidate spans, mapping sets,
-enumeration order — is *identical* to the per-document flat path (and,
-transitively, to the dict-kernel and set-based paths the flat
-differential suite pins down).  The hypothesis sweeps here run the same
+enumeration order — is *identical* to the per-document flat path and to
+the seed's set-based reference.  The hypothesis sweeps here run the same
 batches with the layer on and off at every opt level; the deterministic
 tests cover the gates, the fallbacks, and the environment overrides.
 """
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import compile_va, flat_disabled, kernel_disabled
+from repro.engine import compile_va
 from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import numpy_or_none
 from repro.engine.tables import DocumentIndex
@@ -31,6 +30,7 @@ from repro.engine.vector import (
 )
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
+from repro.rgx.semantics import mappings
 from tests.strategies import documents, rgx_expressions
 
 pytestmark = [pytest.mark.kernel, pytest.mark.differential]
@@ -191,13 +191,15 @@ class TestHypothesisDifferential:
         batch=st.lists(documents(), min_size=1, max_size=4),
     )
     @settings(max_examples=EXAMPLES, deadline=None)
-    def test_vector_agrees_with_dict_and_set_paths(self, expression, batch):
-        vector_out = compile_spanner(expression).evaluate_many(batch)
-        with flat_disabled():
-            dict_out = compile_spanner(expression).evaluate_many(batch)
-        with kernel_disabled():
-            set_out = compile_spanner(expression).evaluate_many(batch)
-        assert vector_out == dict_out == set_out
+    def test_vector_agrees_with_seed(self, expression, batch):
+        for level in OPT_LEVELS:
+            engine = compile_spanner(expression, opt_level=level)
+            assert engine.evaluate_many(batch) == [
+                mappings(expression, document) for document in batch
+            ]
+            assert engine.matches_many(batch) == [
+                bool(mappings(expression, document)) for document in batch
+            ]
 
 
 SUBPROCESS_CHECK = """
@@ -233,7 +235,7 @@ class TestEnvironmentOverrides:
 
     def test_tiny_flat_state_limit_still_identical(self):
         # A limit this small overflows immediately: every path falls back
-        # to the dict kernel, and outputs must not change.
+        # to raw masks or the general sweep, and outputs must not change.
         result = _run({"REPRO_FLAT_STATE_LIMIT": "2"})
         assert result.returncode == 0, result.stderr
         assert "IDENTICAL" in result.stdout

@@ -92,6 +92,29 @@ class TestSharedState:
             registry.should_fire("shm_attach")
         assert (tmp_path / "shm_attach.fired").stat().st_size == 3
 
+    def test_concurrent_check_keeps_its_own_index(self, tmp_path, monkeypatch):
+        """Another process checking right after this one's write grows
+        the file before this one reads its index: the first check must
+        still fire, or two workers starting together both skip a budget
+        of one."""
+        rival = tmp_path / "worker_kill.fired"
+
+        class RacingOs:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def write(self, descriptor, data):
+                written = os.write(descriptor, data)
+                with open(rival, "ab") as other:
+                    other.write(b".")
+                return written
+
+        monkeypatch.setattr(faults, "os", RacingOs())
+        registry = FaultRegistry.parse("worker_kill:1", state_dir=str(tmp_path))
+        assert registry.should_fire("worker_kill")
+        assert not registry.should_fire("worker_kill")
+        assert rival.stat().st_size == 4
+
 
 class TestModuleRegistry:
     def test_inert_by_default(self, monkeypatch):

@@ -10,12 +10,14 @@ import os
 import signal
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from tests.conftest import chaos_docs
 from repro.engine.compiled import compile_spanner
 from repro.service import WorkerPool, evaluate_corpus, faults
+from repro.service import evaluate as evaluate_module
 from repro.service.resilience import (
     CircuitBreaker,
     PoolBroken,
@@ -163,6 +165,26 @@ class TestWorkerPoolConfig:
         pool.shutdown()
         with pytest.raises(RuntimeError):
             pool.submit(compile_spanner(PATTERN), [("d0", "a")])
+
+    def test_executor_submits_hold_the_spawn_lock(self, monkeypatch):
+        """Fork-started workers are spawned inside ``submit``.  Two
+        threads forking at once let one child inherit the other's
+        death-sentinel pipe, and the executor then waits forever on a
+        dead worker, so both the shared pool and quarantine probes
+        submit under one lock."""
+        seen = []
+        original = ProcessPoolExecutor.submit
+
+        def submit(executor, *args, **kwargs):
+            seen.append(evaluate_module._SPAWN_LOCK.locked())
+            return original(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        engine = compile_spanner(PATTERN)
+        with WorkerPool(1) as pool:
+            assert pool.submit(engine, [("d0", "ba")]).result()
+            assert pool._probe_once(engine, [("d1", "ba")], "mappings", False)
+        assert seen == [True, True]
 
 
 @pytest.mark.chaos

@@ -4,16 +4,17 @@ Every benchmark that runs with ``REPRO_BENCH_JSON`` set writes a
 ``BENCH_<name>.json`` file (see :func:`benchmarks._harness.write_results`)
 carrying its headline series — most importantly ``median_speedup``, a
 mapping of workload family to the measured median speedup, and
-``minimum_speedup``, the bar the benchmark asserts in full mode.  This
+``minimum_speedup``, the bar the benchmark asserts in full mode (one
+number, or a mapping of family to bar).  This
 tool collects those files — from the repository root, a CI artifact
 directory, or any mix of paths — and renders one table, so the perf
 trajectory across PRs is a single glance instead of N files:
 
     $ python tools/bench_trajectory.py
-    benchmark  family       median  minimum  margin  mode
-    e25        corpus       3.61    3.00     1.20x   full
-    e25        enumeration  3.14    3.00     1.05x   full
-    e26        corpus       3.86    2.00     1.93x   full
+    benchmark  family       median   minimum  margin    mode
+    e19        corpus       240.02   50.00    4.80x     full
+    e19        enumeration  3205.81  2.00     1602.91x  full
+    e26        corpus       3.86     2.00     1.93x     full
 
 ``--json OUT`` additionally writes the merged records for dashboards.
 Exit status is 2 when any full-mode benchmark is under its bar (quick
@@ -84,7 +85,9 @@ def trajectory_rows(paths: list[str]) -> tuple[list[dict], list[str]]:
                     "benchmark": name,
                     "family": family,
                     "median_speedup": median,
-                    "minimum_speedup": minimum,
+                    "minimum_speedup": minimum.get(family)
+                    if isinstance(minimum, dict)
+                    else minimum,
                     "quick": quick,
                     "path": path,
                 }
