@@ -1,16 +1,16 @@
-"""E26 — lockstep vectorized sweeps + shared-memory engine segments.
+"""E26 — lockstep NonEmp verdicts + shared-memory engine segments.
 
-This PR's tentpole, measured on the serving shapes it targets:
+Two families, each on the serving shape it targets:
 
 * **corpus throughput (lockstep)** — NonEmp verdicts for server-logs
-  corpora through :func:`~repro.service.evaluate.evaluate_records`,
-  vector layer on vs off (:func:`~repro.engine.vector.vector_disabled`
-  pins PR 25's per-document flat path).  The lockstep sweep advances
-  every document's DFA state with one gather per *position*, so the win
-  grows with batch width; outputs must be identical batch-for-batch.
-* **mapping batches** — the same comparison for full output sets (the
-  prewarm path): equality is the point, the speedup rides on how much
-  of the work enumeration dominates.
+  corpora through :func:`~repro.service.evaluate.evaluate_records`
+  (``kind="matches"``, which batches through
+  :func:`~repro.engine.vector.batch_accept`) against a per-document
+  :meth:`~repro.engine.compiled.CompiledSpanner.matches` loop — the same
+  code ``matches_many`` falls back to — each on a fresh engine.  The
+  lockstep sweep advances every document's DFA state with one gather per
+  *position*, so the win grows with batch width; verdicts must be
+  identical document for document.
 * **worker memory (shared segments)** — a :class:`WorkerPool` run with
   shared-memory segments against one without: every worker must attach
   the one published segment (no fallbacks), and the per-worker private
@@ -18,14 +18,16 @@ This PR's tentpole, measured on the serving shapes it targets:
   pickle-path baseline — the engine bytes live once per host, not once
   per worker.
 
-Acceptance: byte-identical outputs everywhere, and (full mode) a median
+Mapping batches are not timed here: they run the per-document index in
+either case (E19 measures enumeration).
+
+Acceptance: identical outputs everywhere, and (full mode) a median
 corpus-throughput speedup of at least ``MINIMUM_SPEEDUP`` from the
 lockstep path.  With ``REPRO_BENCH_JSON`` set the series lands in
 ``BENCH_e26.json``.  Under ``REPRO_BENCH_QUICK`` only output equality
 and the shared-memory invariants are asserted.
 """
 
-import os
 import statistics
 import time
 
@@ -39,7 +41,6 @@ from benchmarks._harness import (
 )
 from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import numpy_or_none
-from repro.engine.vector import vector_disabled
 from repro.service.evaluate import WorkerPool, evaluate_records
 from repro.service.shm_store import shm_available
 from repro.workloads import server_logs
@@ -47,7 +48,7 @@ from repro.workloads import server_logs
 #: (documents, log lines) corpus shapes: wide batches are the lockstep
 #: sweep's regime — per-position numpy dispatch amortises across lanes.
 CORPUS_SHAPES = sizes(full=[(256, 48), (512, 24), (1024, 12)], quick=[(16, 4)])
-MAPPING_SHAPE = sizes(full=[(96, 24)], quick=[(8, 3)])[0]
+POOL_SHAPE = sizes(full=[(96, 24)], quick=[(8, 3)])[0]
 MINIMUM_SPEEDUP = 2.0
 REPEATS = 1 if quick_mode() else 5
 
@@ -59,22 +60,26 @@ def _corpus(documents: int, lines: int):
     ]
 
 
-def _run_records(expression, records, kind: str):
-    """Fresh engine (cold per-spanner caches), shared warm tables."""
+def _vectorised(expression, records):
+    """Verdict triples through ``evaluate_records`` on a fresh engine."""
     engine = compile_spanner(expression)
     started = time.perf_counter()
-    triples = evaluate_records(engine, records, kind=kind)
+    triples = evaluate_records(engine, records, kind="matches")
     return time.perf_counter() - started, triples
 
 
-def _best(expression, records, kind: str, vectorized: bool):
+def _per_document(expression, records):
+    """The same triples from one ``matches`` call per document."""
+    engine = compile_spanner(expression)
+    started = time.perf_counter()
+    triples = [(doc_id, engine.matches(text), None) for doc_id, text in records]
+    return time.perf_counter() - started, triples
+
+
+def _best(run, expression, records):
     best, triples = float("inf"), None
     for _ in range(REPEATS):
-        if vectorized:
-            elapsed, triples = _run_records(expression, records, kind)
-        else:
-            with vector_disabled():
-                elapsed, triples = _run_records(expression, records, kind)
+        elapsed, triples = run(expression, records)
         best = min(best, elapsed)
     return best, triples
 
@@ -123,8 +128,8 @@ def test_e26_vector(benchmark):
     corpus_records = []
     for documents, lines in CORPUS_SHAPES:
         records = _corpus(documents, lines)
-        flat_time, flat_out = _best(expression, records, "matches", False)
-        vector_time, vector_out = _best(expression, records, "matches", True)
+        flat_time, flat_out = _best(_per_document, expression, records)
+        vector_time, vector_out = _best(_vectorised, expression, records)
         assert vector_out == flat_out  # identical verdict triples
         speedup = flat_time / vector_time if vector_time else float("inf")
         total_chars = sum(len(text) for _, text in records)
@@ -147,22 +152,9 @@ def test_e26_vector(benchmark):
             }
         )
 
-    documents, lines = MAPPING_SHAPE
-    records = _corpus(documents, lines)
-    flat_time, flat_out = _best(expression, records, "mappings", False)
-    vector_time, vector_out = _best(expression, records, "mappings", True)
-    assert vector_out == flat_out  # identical mapping sets, same order
-    mapping_record = {
-        "workload": f"server-logs/{documents}x{lines}",
-        "documents": documents,
-        "flat_s": flat_time,
-        "vector_s": vector_time,
-        "speedup": flat_time / vector_time if vector_time else float("inf"),
-    }
-
     memory_record = None
     if shm_available():
-        records = _corpus(*MAPPING_SHAPE)
+        records = _corpus(*POOL_SHAPE)
         shm_out, shm_stats, shm_private = _pool_memory_probe(
             expression, records, shared_memory=True
         )
@@ -184,7 +176,7 @@ def test_e26_vector(benchmark):
             assert shm_private <= pickle_private + 16 * 1024, memory_record
 
     print_table(
-        "E26: lockstep vector vs per-document flat — corpus verdicts",
+        "E26: lockstep vector vs per-document matches — corpus verdicts",
         ["workload", "docs", "chars", "flat s", "vector s", "speedup"],
         corpus_rows,
     )
@@ -209,7 +201,6 @@ def test_e26_vector(benchmark):
         "e26",
         {
             "corpus": corpus_records,
-            "mappings": mapping_record,
             "memory": memory_record,
             "median_speedup": {"corpus": corpus_speedup},
             "minimum_speedup": MINIMUM_SPEEDUP,
@@ -219,8 +210,8 @@ def test_e26_vector(benchmark):
     if not quick_mode():
         assert corpus_speedup >= MINIMUM_SPEEDUP, (
             f"lockstep corpus throughput only {corpus_speedup:.2f}x "
-            f"the per-document flat path"
+            f"the per-document matches loop"
         )
 
     headline = _corpus(*CORPUS_SHAPES[0])
-    benchmark(lambda: _best(expression, headline, "matches", True))
+    benchmark(lambda: _best(_vectorised, expression, headline))

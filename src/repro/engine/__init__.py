@@ -23,7 +23,7 @@ from repro.engine.oracle import (
     eval_sequential_flat,
 )
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
-from repro.engine.vector import vector_disabled, vector_enabled
+from repro.engine.vector import vector_enabled
 
 __all__ = [
     "AlphabetClasses",
@@ -39,7 +39,6 @@ __all__ = [
     "eval_general_compiled",
     "eval_sequential_compiled",
     "eval_sequential_flat",
-    "vector_disabled",
     "vector_enabled",
 ]
 

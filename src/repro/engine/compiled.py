@@ -21,6 +21,13 @@ Enumeration follows Algorithm 2 exactly, with two engine upgrades:
 * the oracle is a per-node :class:`~repro.engine.oracle.FlatNodeSweep`
   that shares sweep prefixes across sibling branches (sequential
   automata), or a compiled full sweep otherwise.
+
+Of the batch methods only :meth:`CompiledSpanner.matches_many` is
+vectorised: its verdict-cache misses resolve through one lockstep
+forward sweep (:func:`repro.engine.vector.batch_accept`).
+:meth:`~CompiledSpanner.evaluate_many` and
+:meth:`~CompiledSpanner.extract_many` run the per-document path, one
+cached :class:`~repro.engine.tables.DocumentIndex` per document.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from repro.engine.oracle import (
     node_sweep,
 )
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
-from repro.engine.vector import batch_accept, batch_index
+from repro.engine.vector import batch_accept
 from repro.plan import Plan, plan as build_plan
 from repro.spans.document import Document, as_text
 from repro.spans.mapping import (
@@ -223,65 +230,6 @@ class CompiledSpanner:
             self._indexes[key] = built
         return built
 
-    def index_many(self, documents: "Sequence[Document | str]") -> list[DocumentIndex]:
-        """Reachability indexes for a batch, built in one lockstep sweep.
-
-        Cache-equivalent to calling :meth:`index` per document — hits
-        and misses count identically, misses land in the same LRU — but
-        misses are swept together through
-        :func:`repro.engine.vector.batch_index` when the vector layer is
-        available (falling back to per-document builds when not).  On
-        sequential automata the batch sweep's final states additionally
-        pre-warm the NonEmp verdict cache, so a following
-        :meth:`enumerate` pays no extra eval sweep.
-        """
-        texts = [as_text(document) for document in documents]
-        out: list[DocumentIndex | None] = [None] * len(texts)
-        pending: OrderedDict[str, list[int]] = OrderedDict()
-        with self._lock:
-            for position, text in enumerate(texts):
-                key = (len(text), hash(text))
-                index = self._indexes.get(key)
-                if index is not None and index.text == text:
-                    self._indexes.move_to_end(key)
-                    self._index_hits += 1
-                    out[position] = index
-                else:
-                    pending.setdefault(text, []).append(position)
-        if not pending:
-            return out
-        miss_texts = list(pending)
-        built = batch_index(self._cva, miss_texts)
-        if built is None:
-            built = [DocumentIndex(self._cva, text) for text in miss_texts]
-        empty_key = frozenset()
-        sequential = self._cva.is_sequential
-        final = self._cva.final
-        with self._lock:
-            for text, index in zip(miss_texts, built):
-                self._index_misses += 1
-                key = (len(text), hash(text))
-                current = self._indexes.get(key)
-                if current is not None and current.text == text:
-                    index = current  # another thread built it first
-                else:
-                    if current is None and len(self._indexes) >= _DOCUMENT_CACHE_LIMIT:
-                        self._indexes.popitem(last=False)
-                    self._indexes[key] = index
-                if sequential and index._reach_masks is not None:
-                    # The forward sweep's last state already answers NonEmp
-                    # (the unpinned sequential eval walks the same DFA).
-                    verdict_key = (len(text), hash(text), empty_key)
-                    if verdict_key not in self._verdicts:
-                        if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
-                            self._verdicts.popitem(last=False)
-                        self._verdicts[verdict_key] = bool(
-                            (index._reach_masks[-1] >> final) & 1
-                        )
-                for position in pending[text]:
-                    out[position] = index
-        return out
-
     # -- decision problems -------------------------------------------------------
 
     def eval(self, document: "Document | str", pinned: ExtendedMapping) -> bool:
@@ -461,43 +409,7 @@ class CompiledSpanner:
         >>> [len(output) for output in engine.evaluate_many(["ba", "bb"])]
         [1, 0]
         """
-        batch = list(documents)
-        results: list[set[Mapping]] = []
-        # Interleave warm-up and evaluation chunk by chunk: prewarming a
-        # batch wider than the index LRU up front would evict the early
-        # indexes before they are ever read.
-        for start in range(0, len(batch), self.prewarm_limit):
-            chunk = batch[start : start + self.prewarm_limit]
-            self.prewarm(chunk)
-            results.extend(self.mappings(document) for document in chunk)
-        return results
-
-    @property
-    def prewarm_limit(self) -> int:
-        """Documents whose indexes fit the cache at once — callers doing a
-        prewarm-then-evaluate pass should chunk to this size."""
-        return _DOCUMENT_CACHE_LIMIT
-
-    def prewarm(self, documents: Iterable["Document | str"]) -> None:
-        """Best-effort batch warm-up of the index and verdict caches.
-
-        Sweeps cache-missing documents in lockstep chunks sized to the
-        index LRU (:attr:`prewarm_limit`), so a following per-document
-        pass (:meth:`mappings`, :meth:`extract`, :meth:`enumerate`)
-        finds its index and NonEmp verdict already cached.  Evaluate in
-        chunks of :attr:`prewarm_limit` when batches can outgrow the
-        cache.  Documents the batch path cannot take (non-string
-        payloads, vector layer unavailable) are skipped — per-document
-        evaluation handles them, and their errors, as before.
-        """
-        texts = [
-            document for document in documents if isinstance(document, str)
-        ]
-        for start in range(0, len(texts), _DOCUMENT_CACHE_LIMIT):
-            try:
-                self.index_many(texts[start : start + _DOCUMENT_CACHE_LIMIT])
-            except Exception:
-                return
+        return [self.mappings(document) for document in documents]
 
     def extract_many(
         self, documents: Iterable["Document | str"], spans: bool = False

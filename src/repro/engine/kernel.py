@@ -112,8 +112,7 @@ FLAT_STATE_LIMIT = _env_limit("REPRO_FLAT_STATE_LIMIT", 1 << 12)
 #: Documents at least this long take the numpy interning path (when
 #: numpy is importable): one vectorised table lookup over the UTF-32
 #: code points instead of the per-character ``str.translate`` dict walk.
-#: Overridable via ``REPRO_NUMPY_INTERN_MIN``.
-_NUMPY_INTERN_MIN = _env_limit("REPRO_NUMPY_INTERN_MIN", 2048)
+_NUMPY_INTERN_MIN = 2048
 
 
 def numpy_or_none():
@@ -754,9 +753,9 @@ class FlatTables:
         self._np_table = None
         self._interned: OrderedDict[tuple[int, int], tuple[str, bytes]]
         self._interned = OrderedDict()
-        #: The numpy vector layer over these tables, attached lazily by
-        #: :func:`repro.engine.vector.vector_tables` (``None`` until a
-        #: batch sweep first asks for it).
+        #: The numpy mirror of :attr:`dfa` behind lockstep verdicts,
+        #: attached lazily by :func:`repro.engine.vector.batch_accept`
+        #: (``None`` until a batch sweep first asks for it).
         self._vector = None
 
     # -- documents -------------------------------------------------------------

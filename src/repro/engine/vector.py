@@ -1,99 +1,45 @@
-"""Vectorized lockstep sweeps over the flat tables (the numpy layer).
+"""Lockstep NonEmp verdicts over the flat tables (the numpy layer).
 
-The flat layer (:class:`~repro.engine.kernel.FlatTables`) made the
-per-document sweep two indexed loads per character — but still one
-*python-level* loop iteration per character per document.  This module
-removes the per-document loop for corpus batches: the interned flat-DFA
-rows are mirrored into one contiguous 2-D numpy table
-(``table[sid, class_id] → sid``), and a whole batch of documents
-advances in lockstep — one fancy-indexed gather per document *position*
-moves every document's state id at once, so the python-loop cost is
-``O(max_len)`` per batch instead of ``O(total_chars)``.
+A NonEmp verdict is ``Eval`` with the empty mapping (Theorem 5.7): one
+forward sweep of the unpinned flat DFA per document, reading the final
+state's bit at the end.  :func:`batch_accept` runs that sweep for a
+whole batch at once: the interned flat-DFA rows are mirrored into one
+contiguous 2-D numpy table (``table[sid, class_id] → sid``), and every
+document advances in lockstep — one fancy-indexed gather per document
+*position* moves every lane's state id, so the python-loop cost is
+``O(max_len)`` per batch instead of ``O(total_chars)``.  This is the
+serving hot path behind
+:meth:`~repro.engine.compiled.CompiledSpanner.matches_many`.
 
-Three batch entry points sit on top of the lockstep sweep:
+Mapping enumeration (Algorithm 2) does not use this layer: its cost is
+the per-node oracle work, so every document builds its own
+:class:`~repro.engine.tables.DocumentIndex`.
 
-* :func:`batch_index` — forward reach and backward coreach sweeps for a
-  document batch, yielding ready
-  :class:`~repro.engine.tables.DocumentIndex` objects (on ≤64-state
-  automata they additionally carry per-position ``uint64`` mask arrays,
-  so candidate-span filtering in
-  :meth:`~repro.engine.tables.DocumentIndex.open_positions` is one
-  vectorized bitwise pass instead of a per-position python loop);
-* :func:`batch_accept` — NonEmp verdicts for a batch on sequential
-  automata, straight off the forward reach sweep (the state walked is
-  exactly the one the unpinned Theorem 5.7 sweep walks, so the verdicts
-  are identical by construction);
-* :func:`op_positions_np` — the vectorized per-variable open/close
-  position filter over precomputed reach/coreach mask arrays.
-
-Every helper returns ``None`` whenever the fast path cannot run —
-numpy absent or disabled (``REPRO_NO_NUMPY=1``), the layer switched off
-(``REPRO_NO_VECTOR=1`` / :func:`vector_disabled`), more than 256
-alphabet classes, a batch too large to pad densely, or
-:class:`~repro.engine.kernel.FlatOverflow` during exploration — and the
-caller falls back to the per-document path, which computes the same
-states from the same tables (or, past the state budget, the same
-verdicts on its overflow path).  Outputs are
-bit-identical either way; ``tests/engine/test_vector.py`` cross-validates
-this differentially.
-
-Before a batch sweep the flat DFA is *completed* — every transition of
-every interned state is explored eagerly (still budgeted by
-``FLAT_STATE_LIMIT``), so the inner loop needs no miss handling and the
-mirror only has to catch up when a genuinely new state was interned.
-Per-document and batch sweeps warm the same DFA either way.
+:func:`batch_accept` returns ``None`` whenever the lockstep sweep cannot
+run — numpy absent or disabled (``REPRO_NO_NUMPY=1``), a non-sequential
+automaton, more than 256 alphabet classes, a batch too large to pad
+densely, or :class:`~repro.engine.kernel.FlatOverflow` during
+exploration — and the caller falls back to the per-document sweep, which
+computes the same states from the same tables (or, past the state
+budget, the same verdicts on its overflow path).  Verdicts are identical
+either way; ``tests/engine/test_vector.py`` checks both against the seed.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 from repro.engine.kernel import FlatOverflow, numpy_or_none
 
 #: Upper bound on the padded class matrix (documents × max_len cells) a
-#: single lockstep sweep may allocate.  Two matrices of this many int32
-#: cells (~128 MB each at the bound) is the worst case; above it the
-#: caller falls back to per-document sweeps rather than risk a dense-pad
-#: blow-up on skewed batches (one huge document next to tiny ones).
+#: single lockstep sweep may allocate; above it the caller falls back to
+#: per-document sweeps rather than risk a dense-pad blow-up on skewed
+#: batches (one huge document next to tiny ones).
 _BATCH_CELL_LIMIT = 1 << 25
-
-_VECTOR_ENABLED = True
 
 
 def vector_enabled() -> bool:
-    """Whether the vector layer is active (see :func:`vector_disabled`).
-
-    Requires numpy (see :func:`~repro.engine.kernel.numpy_or_none`);
-    ``REPRO_NO_VECTOR=1`` forces the per-document flat paths process-wide
-    while leaving numpy document-interning on (unset or ``0`` leaves the
-    layer on).
-    """
-    return (
-        _VECTOR_ENABLED
-        and os.environ.get("REPRO_NO_VECTOR", "") in ("", "0")
-        and numpy_or_none() is not None
-    )
-
-
-@contextmanager
-def vector_disabled():
-    """Force the per-document flat paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with vector_disabled():
-    ...     old = engine.matches_many(["baa", "bb"])
-    >>> engine.matches_many(["baa", "bb"]) == old
-    True
-    """
-    global _VECTOR_ENABLED
-    previous = _VECTOR_ENABLED
-    _VECTOR_ENABLED = False
-    try:
-        yield
-    finally:
-        _VECTOR_ENABLED = previous
+    """Whether the lockstep layer can run (numpy importable and not
+    disabled by ``REPRO_NO_NUMPY=1``)."""
+    return numpy_or_none() is not None
 
 
 class _DfaMirror:
@@ -101,15 +47,15 @@ class _DfaMirror:
 
     ``table[sid, class_id]`` mirrors ``dfa.rows[sid][class_id]``, with
     one extra *pad* column (``class_id == num_classes``) that maps every
-    sid to the dead state — lanes past their document's end ride the pad
-    class, so the lockstep inner loop needs no per-position length
-    gating.  Before a sweep the underlying DFA is *completed*
+    sid to itself — lanes past their document's end ride the pad class
+    and keep their final state, so the lockstep inner loop needs no
+    per-position length gating and its last vector holds every verdict
+    state.  Before a sweep the underlying DFA is *completed*
     (:meth:`complete`): every transition of every interned state is
     explored eagerly (still budgeted by ``FLAT_STATE_LIMIT`` through
-    ``intern``), so gathers never see an unexplored ``-1`` and the inner
-    loop is one multiply-add plus one flat gather per position.
-    ``masks64`` maps sids to their state masks as ``uint64`` on
-    ≤64-state automata (``None`` beyond that).
+    ``intern``), so gathers never see an unexplored ``-1``.  ``masks64``
+    maps sids to their state masks as ``uint64`` on ≤64-state automata
+    (``None`` beyond that).
     """
 
     __slots__ = ("dfa", "np", "table", "masks64", "_synced", "_completed")
@@ -158,6 +104,7 @@ class _DfaMirror:
         if count > len(self.table):
             grown = np.zeros((count, num_classes + 1), dtype=np.int32)
             grown[: len(self.table)] = self.table
+            grown[:, num_classes] = np.arange(count, dtype=np.int32)
             self.table = grown
             if self.masks64 is not None:
                 masks_grown = np.zeros(count, dtype=np.uint64)
@@ -177,55 +124,15 @@ class _DfaMirror:
         return self.table
 
 
-class VectorTables:
-    """The vector layer of one :class:`~repro.engine.kernel.FlatTables`:
-    forward and reverse DFA mirrors, built lazily and cached on the flat
-    tables (so they share the kernel's lifetime)."""
-
-    __slots__ = ("flat", "np", "mirror", "mirror_rev")
-
-    def __init__(self, flat) -> None:
-        np = numpy_or_none()
-        if np is None:  # pragma: no cover - callers gate on vector_enabled
-            raise RuntimeError("vector layer requires numpy")
-        self.flat = flat
-        self.np = np
-        self.mirror = _DfaMirror(flat.dfa, np)
-        self.mirror_rev = _DfaMirror(flat.dfa_rev, np)
-
-
-def vector_tables(flat) -> VectorTables:
-    """The (cached) vector layer of one flat-table instance."""
-    tables = flat._vector
-    if tables is None:
-        tables = VectorTables(flat)
-        flat._vector = tables
-    return tables
-
-
-def _flat_or_none(cva):
-    """The (kernel, flat) pair when the vector layer can run, else ``None``."""
-    if not vector_enabled():
-        return None
-    kernel = cva.kernel
-    flat = kernel.flat
-    if flat.num_classes > 256:
-        # >256 classes interns to tuples, not bytes — stay per-document.
-        return None
-    return kernel, flat
-
-
 def _lockstep(mirror, np, classes_t, start_sid):
-    """Advance every lane through ``classes_t`` rows in lockstep.
+    """Every lane's sid after its whole document, advanced in lockstep.
 
     ``classes_t`` is *position-major* — ``classes_t[pos]`` is the
     contiguous vector of every lane's class id at ``pos``, with lanes
-    past their document's end holding the pad class (which every sid
-    maps to the dead state, and sid 0 self-loops on everything) — so the
-    inner loop is one flat gather per position with no length gating and,
-    thanks to :meth:`_DfaMirror.complete`, no miss checks.  ``out[pos,
-    lane]`` is lane ``lane``'s sid after consuming its character at
-    ``pos`` (0 beyond its length).
+    past their document's end holding the pad class (which keeps every
+    sid in place) — so the inner loop is one flat gather per position
+    with no length gating and, thanks to :meth:`_DfaMirror.complete`, no
+    miss checks.
     """
     table = mirror.complete()
     flat_table = table.ravel()
@@ -234,217 +141,70 @@ def _lockstep(mirror, np, classes_t, start_sid):
     # is safe unless the table itself outgrows int32.
     wide = table.size > 2**31 - 1
     maxlen, ndocs = classes_t.shape
-    out = np.zeros((maxlen, ndocs), dtype=np.int32)
     current = np.full(ndocs, start_sid, dtype=np.int32)
     for pos in range(maxlen):
         if wide:  # pragma: no cover - needs a >2^31-cell table
             current = current.astype(np.int64)
         current = flat_table[current * width + classes_t[pos]]
-        out[pos] = current
         if not (pos & 31) and not current.any():
-            break  # every lane dead; the rest stays 0
-    return out
+            break  # every lane dead, and the dead sid 0 never leaves
+    return current
 
 
-def _class_matrices(np, sequences, pad, include_backward=True):
-    """Position-major padded class matrices ``(forward, reversed)``.
+def _class_matrix(np, sequences, pad):
+    """The position-major padded class matrix of a batch.
 
     ``None`` when dense padding would exceed :data:`_BATCH_CELL_LIMIT`.
-    The reversed matrix is left-aligned (each lane's classes reversed,
-    then padded on the right) so both sweeps share one lockstep loop;
-    forward-only callers (NonEmp verdicts) skip building it.
     """
     count = len(sequences)
     maxlen = max((len(seq) for seq in sequences), default=0)
     if count * maxlen > _BATCH_CELL_LIMIT:
         return None
-
     if pad <= 0xFF:
         # Classes intern to bytes, so padding is one C-speed ljust+join.
         pad_byte = bytes((pad,))
-
-        def padded(rows):
-            buffer = b"".join(row.ljust(maxlen, pad_byte) for row in rows)
-            grid = np.frombuffer(buffer, dtype=np.uint8).reshape(count, maxlen)
-            return np.ascontiguousarray(grid.T)
-
-        forward = padded(sequences)
-        backward = (
-            padded([seq[::-1] for seq in sequences]) if include_backward else None
-        )
-        return forward, backward
-
+        buffer = b"".join(seq.ljust(maxlen, pad_byte) for seq in sequences)
+        grid = np.frombuffer(buffer, dtype=np.uint8).reshape(count, maxlen)
+        return np.ascontiguousarray(grid.T)
     # 256 classes: the pad id does not fit a byte, so fill lane by lane.
-    forward = np.full((count, maxlen), pad, dtype=np.uint16)
-    backward = np.full((count, maxlen), pad, dtype=np.uint16) if include_backward else None
+    grid = np.full((count, maxlen), pad, dtype=np.uint16)
     for lane, seq in enumerate(sequences):
         if seq:
-            row = np.frombuffer(seq, dtype=np.uint8)
-            forward[lane, : len(seq)] = row
-            if backward is not None:
-                backward[lane, : len(seq)] = row[::-1]
-    return (
-        np.ascontiguousarray(forward.T),
-        np.ascontiguousarray(backward.T) if backward is not None else None,
-    )
-
-
-def batch_reach(cva, texts):
-    """Forward reach sweeps for a batch: ``(flat, reach_sid_rows)``.
-
-    ``reach_sid_rows[i]`` lists document ``i``'s flat-DFA sid per
-    position, aligned with the per-document ``reach_ids`` layout
-    (``[0, start, after-char-1, ...]``).  ``None`` whenever the vector
-    path cannot run — the caller falls back per document.
-    """
-    layers = _flat_or_none(cva)
-    if layers is None:
-        return None
-    kernel, flat = layers
-    np = numpy_or_none()
-    try:
-        sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(np, sequences, flat.num_classes)
-        if matrices is None:
-            return None
-        forward, _ = matrices
-        tables = vector_tables(flat)
-        start = flat.dfa.intern(kernel.free[cva.initial])
-        out = _lockstep(tables.mirror, np, forward, start)
-    except FlatOverflow:
-        return None
-    rows = []
-    for lane, seq in enumerate(sequences):
-        ids = np.zeros(len(seq) + 2, dtype=np.int32)
-        ids[1] = start
-        ids[2:] = out[: len(seq), lane]
-        rows.append(ids)
-    return flat, rows
+            grid[lane, : len(seq)] = np.frombuffer(seq, dtype=np.uint8)
+    return np.ascontiguousarray(grid.T)
 
 
 def batch_accept(cva, texts):
     """NonEmp verdicts for a batch of documents, or ``None``.
 
     Only valid on sequential automata (``cva.is_sequential``): the
-    forward reach sweep then walks exactly the DFA the unpinned
+    forward sweep then walks exactly the DFA the unpinned
     :func:`~repro.engine.oracle.eval_sequential_flat` walks, so the
-    final-state bit at document end *is* the verdict.  Verdict extraction
-    never materialises per-document sweep rows — one gather pulls every
-    lane's final sid.
+    final-state bit at document end *is* the verdict.
     """
-    if not cva.is_sequential:
-        return None
-    layers = _flat_or_none(cva)
-    if layers is None:
-        return None
-    kernel, flat = layers
     np = numpy_or_none()
+    if np is None or not cva.is_sequential:
+        return None
+    kernel = cva.kernel
+    flat = kernel.flat
+    if flat.num_classes > 256:
+        # >256 classes interns to tuples, not bytes — stay per-document.
+        return None
     try:
         sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(
-            np, sequences, flat.num_classes, include_backward=False
-        )
-        if matrices is None:
+        matrix = _class_matrix(np, sequences, flat.num_classes)
+        if matrix is None:
             return None
-        forward, _ = matrices
-        tables = vector_tables(flat)
+        mirror = flat._vector
+        if mirror is None:
+            mirror = flat._vector = _DfaMirror(flat.dfa, np)
         start = flat.dfa.intern(kernel.free[cva.initial])
-        out = _lockstep(tables.mirror, np, forward, start)
+        finals = _lockstep(mirror, np, matrix, start)
     except FlatOverflow:
         return None
-    count = len(sequences)
-    if out.shape[0] == 0:  # every document empty: all lanes sit on start
-        finals = np.full(count, start, dtype=np.int32)
-    else:
-        lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-        finals = np.where(
-            lengths > 0,
-            out[np.maximum(lengths, 1) - 1, np.arange(count)],
-            start,
-        )
     final = cva.final
-    masks64 = tables.mirror.masks64
-    if masks64 is not None:
+    if mirror.masks64 is not None:
         bit = np.uint64(1) << np.uint64(final)
-        return ((masks64[finals] & bit) != 0).tolist()
+        return ((mirror.masks64[finals] & bit) != 0).tolist()
     masks = flat.dfa.masks
     return [bool((masks[sid] >> final) & 1) for sid in finals.tolist()]
-
-
-def batch_index(cva, texts):
-    """Ready :class:`~repro.engine.tables.DocumentIndex` objects for a
-    batch (forward reach + backward coreach in lockstep), or ``None``.
-
-    On ≤64-state automata the indexes carry per-position ``uint64`` mask
-    arrays, enabling the vectorized candidate-span filter
-    (:func:`op_positions_np`).
-    """
-    from repro.engine.tables import DocumentIndex
-
-    layers = _flat_or_none(cva)
-    if layers is None:
-        return None
-    kernel, flat = layers
-    np = numpy_or_none()
-    try:
-        sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(np, sequences, flat.num_classes)
-        if matrices is None:
-            return None
-        forward, backward = matrices
-        tables = vector_tables(flat)
-        start = flat.dfa.intern(kernel.free[cva.initial])
-        start_rev = flat.dfa_rev.intern(kernel.free_rev[cva.final])
-        out = _lockstep(tables.mirror, np, forward, start)
-        out_rev = _lockstep(tables.mirror_rev, np, backward, start_rev)
-    except FlatOverflow:
-        return None
-    masks = flat.dfa.masks
-    masks_rev = flat.dfa_rev.masks
-    mirror, mirror_rev = tables.mirror, tables.mirror_rev
-    indexes = []
-    for lane, text in enumerate(texts):
-        length = len(sequences[lane])
-        reach_ids = np.zeros(length + 2, dtype=np.int32)
-        reach_ids[1] = start
-        reach_ids[2:] = out[:length, lane]
-        coreach_ids = np.zeros(length + 2, dtype=np.int32)
-        coreach_ids[-1] = start_rev
-        coreach_ids[1 : length + 1] = out_rev[:length, lane][::-1]
-        reach_np = coreach_np = None
-        if mirror.masks64 is not None:
-            reach_np = mirror.masks64[reach_ids]
-            coreach_np = mirror_rev.masks64[coreach_ids]
-        indexes.append(
-            DocumentIndex.from_flat_sweeps(
-                cva,
-                text,
-                sequences[lane],
-                [masks[sid] for sid in reach_ids.tolist()],
-                [masks_rev[sid] for sid in coreach_ids.tolist()],
-                reach_np,
-                coreach_np,
-            )
-        )
-    return indexes
-
-
-def op_positions_np(reach_np, coreach_np, edges):
-    """Positions where any ``(source, target)`` op edge is live, or ``None``.
-
-    The vectorized form of the per-position loop in
-    :meth:`~repro.engine.tables.DocumentIndex.open_positions`: a span
-    operation can fire at ``pos`` iff some edge has its source in
-    ``reach[pos]`` and its target in ``coreach[pos]``.  Index 0 of the
-    mask arrays is always 0, so the result lands in ``1..end`` exactly
-    like the python loop.
-    """
-    np = numpy_or_none()
-    if np is None:
-        return None
-    live = None
-    for source, target in edges:
-        hit = (reach_np & np.uint64(1 << source)) != 0
-        hit &= (coreach_np & np.uint64(1 << target)) != 0
-        live = hit if live is None else live | hit
-    return np.nonzero(live)[0].tolist()

@@ -76,6 +76,7 @@ _REASONS = {
     413: "Payload Too Large",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -259,11 +260,7 @@ class SpannerServer:
                 connection.busy = False
                 if not keep_alive:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away (or was closed by drain) mid-read
         finally:
             self._connections.pop(task, None)
@@ -281,6 +278,12 @@ class SpannerServer:
             if error.partial:
                 raise ConnectionError("truncated request") from None
             return None  # clean EOF between requests
+        except asyncio.LimitOverrunError:
+            # The header block outgrew the stream buffer limit.
+            await self._write_response(
+                writer, 431, encode_error("request headers too large"), close=True
+            )
+            return None
         head, *header_lines = header_blob.decode("latin-1").split("\r\n")
         parts = head.split()
         if len(parts) != 3:
@@ -297,6 +300,8 @@ class SpannerServer:
         length_text = headers.get("content-length", "0")
         try:
             length = int(length_text)
+            if length < 0:
+                raise ValueError(length_text)
         except ValueError:
             await self._write_response(
                 writer, 400, encode_error("bad Content-Length"), close=True

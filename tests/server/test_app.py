@@ -1,6 +1,7 @@
 """End-to-end HTTP: routes, streaming, shedding, graceful drain."""
 
 import json
+import socket
 import threading
 import time
 
@@ -25,6 +26,21 @@ def server():
 def client(server):
     with ServerClient(*server.address) as connection:
         yield connection
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes, read until the server closes, return the reply."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _healthz_status(server) -> str:
+    with ServerClient(*server.address) as connection:
+        return connection.healthz()["status"]
 
 
 class TestEndpoints:
@@ -129,6 +145,31 @@ class TestHttpErrors:
             assert response.status == 413
         finally:
             connection.close()
+
+    def test_negative_content_length_is_400(self, server):
+        reply = _raw_exchange(
+            server,
+            b"POST /evaluate HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: -5\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply
+        assert b"Connection: close" in reply
+        assert b"bad Content-Length" in reply
+        assert _healthz_status(server) == "ok"
+
+    def test_oversized_header_block_is_431(self, server):
+        # Past the 64 KiB stream limit before the blank line ends it.
+        reply = _raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nX-Padding: "
+            + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        assert reply.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        ), reply[:200]
+        assert b"Connection: close" in reply
+        assert _healthz_status(server) == "ok"
 
     def test_keep_alive_across_requests(self, client):
         # The same ServerClient connection serves several round-trips.
